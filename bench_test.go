@@ -196,31 +196,53 @@ func BenchmarkPBPLRun(b *testing.B) {
 	}
 }
 
-// BenchmarkLivePut measures the live runtime's producer fast path.
-func BenchmarkLivePut(b *testing.B) {
+// producerModes are the two ways a pair can be opened: the paper's
+// single producer, and ConcurrentProducers (the mode pcd runs every
+// stream in). The live producer benchmarks run once per mode, so the
+// alloc gate covers both.
+var producerModes = []struct {
+	name string
+	opts []PairOption
+}{
+	{"single", nil},
+	{"concurrent", []PairOption{ConcurrentProducers()}},
+}
+
+// openLiveBench opens a pair on a fresh runtime whose quota is large
+// enough that the benchmark loop rarely overflows.
+func openLiveBench(b *testing.B, opts []PairOption) *Pair[int] {
 	rt, err := New(WithSlotSize(5*time.Millisecond), WithMaxLatency(50*time.Millisecond), WithBuffer(1<<16))
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer rt.Close()
+	b.Cleanup(func() { rt.Close() })
 	var mu sync.Mutex
 	drained := 0
 	pair, err := Open(rt, Batch(func(batch []int) {
 		mu.Lock()
 		drained += len(batch)
 		mu.Unlock()
-	}))
-
+	}), opts...)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer pair.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for pair.Put(i) != nil {
-			time.Sleep(time.Microsecond)
-		}
+	b.Cleanup(func() { pair.Close() })
+	return pair
+}
+
+// BenchmarkLivePut measures the live runtime's producer fast path.
+func BenchmarkLivePut(b *testing.B) {
+	for _, mode := range producerModes {
+		b.Run(mode.name, func(b *testing.B) {
+			pair := openLiveBench(b, mode.opts)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for pair.Put(i) != nil {
+					time.Sleep(time.Microsecond)
+				}
+			}
+		})
 	}
 }
 
@@ -230,41 +252,29 @@ func BenchmarkLivePut(b *testing.B) {
 // pays at most one kick where the Put loop pays an armed-check (and
 // possibly a kick) per item.
 func BenchmarkLivePutBatch(b *testing.B) {
-	rt, err := New(WithSlotSize(5*time.Millisecond), WithMaxLatency(50*time.Millisecond), WithBuffer(1<<16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	var mu sync.Mutex
-	drained := 0
-	pair, err := Open(rt, Batch(func(batch []int) {
-		mu.Lock()
-		drained += len(batch)
-		mu.Unlock()
-	}))
-
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer pair.Close()
-	const batch = 64
-	items := make([]int, batch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	sent := 0
-	for sent < b.N {
-		if len(items) > b.N-sent {
-			items = items[:b.N-sent]
-		}
-		n, err := pair.PutBatch(items)
-		sent += n
-		if err != nil {
-			time.Sleep(time.Microsecond) // quota full: drain underway
-		}
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		b.ReportMetric(float64(pair.Stats().Kicks)/float64(b.N), "kicks/item")
+	for _, mode := range producerModes {
+		b.Run(mode.name, func(b *testing.B) {
+			pair := openLiveBench(b, mode.opts)
+			const batch = 64
+			items := make([]int, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			sent := 0
+			for sent < b.N {
+				if len(items) > b.N-sent {
+					items = items[:b.N-sent]
+				}
+				n, err := pair.PutBatch(items)
+				sent += n
+				if err != nil {
+					time.Sleep(time.Microsecond) // quota full: drain underway
+				}
+			}
+			b.StopTimer()
+			if b.N > 0 {
+				b.ReportMetric(float64(pair.Stats().Kicks)/float64(b.N), "kicks/item")
+			}
+		})
 	}
 }
 

@@ -60,6 +60,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -77,6 +78,10 @@ func main() {
 // run is main with its environment injected so tests can drive the
 // daemon in-process: sig overrides the OS signal channel when non-nil.
 func run(args []string, sig chan os.Signal, stdout, stderr io.Writer) int {
+	// The servers, the cluster node and the signal loop all log from
+	// their own goroutines; route every write through one lock so a
+	// writer that is not safe for concurrent use still works.
+	stderr = &lockedWriter{w: stderr}
 	fs := flag.NewFlagSet("pcd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -394,6 +399,18 @@ func parseSeeds(s string) (map[string]string, error) {
 		seeds[id] = addr
 	}
 	return seeds, nil
+}
+
+// lockedWriter serializes writes to w.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // parseBudgets parses "-fleet-node-budget id@rate,id@rate".

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/ring"
@@ -124,13 +125,13 @@ func Redelivery(n int) PairOption {
 }
 
 // ConcurrentProducers declares that multiple goroutines will call Put
-// or PutBatch on this pair concurrently. By default a pair assumes the
-// paper's contract — exactly one logical producer — and uses a
-// wait-free single-producer queue whose steady-state Put is
-// allocation-free and takes no lock; with this option the queue is
-// mutex-guarded instead, trading that speed for safety under
-// concurrent producers (as e.g. a server fanning one stream across
-// connection goroutines needs).
+// or PutBatch on this pair concurrently. Every pair buffers in the same
+// wait-free single-producer queue, whose steady-state Put is
+// allocation-free; by default a pair assumes the paper's contract —
+// exactly one logical producer — and takes no lock at all. With this
+// option a pair-owned mutex serializes the enqueue step of Put and
+// PutBatch (as e.g. a server fanning one stream across connection
+// goroutines needs); the consumer side stays lock-free either way.
 func ConcurrentProducers() PairOption {
 	return func(c *pairConfig) { c.concurrent = true }
 }
@@ -165,21 +166,18 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		segs = 2
 	}
 	pool := ring.NewSegmentPool[T](segs, o.segSize)
-	var q *ring.Segmented[T]
-	if pc.concurrent {
-		q = ring.NewSegmented(pool, o.buffer)
-	} else {
-		q = ring.NewSegmentedSP(pool, o.buffer)
-	}
 	p := &Pair[T]{
 		rt:      rt,
 		handler: handler,
-		q:       q,
+		q:       ring.NewUnbounded(pool, o.buffer),
 		// The drain scratch is sized once to the physical ceiling of the
 		// pair's segment arena: DrainTo can never return more items than
 		// the pool can hold, so steady-state drains reuse this slice and
 		// never allocate.
 		scratch: make([]T, 0, pool.Capacity()),
+	}
+	if pc.concurrent {
+		p.putMu = new(sync.Mutex)
 	}
 	planner := rt.planner
 	if pc.maxLatency != o.maxLatency {
@@ -193,6 +191,7 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 		planner:        planner,
 		lastDrain:      rt.now(),
 		pending:        p.q.Len,
+		pushed:         p.q.Pushed,
 		quota:          p.q.Quota,
 		setQuota:       p.q.SetQuota,
 		handlerTimeout: pc.handlerTimeout,

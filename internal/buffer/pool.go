@@ -10,7 +10,7 @@
 //
 // making "the walls between the consumer buffers elastic". The pool
 // tracks integer capacities only — actual storage elasticity for the
-// live runtime is provided by ring.Segmented over ring.SegmentPool.
+// live runtime is provided by ring.Unbounded over ring.SegmentPool.
 // Keeping the sim-side accounting separate keeps both testable and the
 // invariant (Σ quotas ≤ Bg) explicit.
 package buffer

@@ -37,9 +37,6 @@ func NewRouter(self string) *Router {
 	}
 }
 
-// Self returns this node's id.
-func (r *Router) Self() string { return r.self }
-
 // Owner resolves a stream key to its owning node id: the override
 // table first (ignoring overrides that point at unroutable nodes),
 // then rendezvous hashing over the routable members.

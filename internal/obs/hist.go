@@ -75,6 +75,36 @@ func (h *Histogram) Record(v int64) {
 	}
 }
 
+// RecordSince records now−t for every stamp t (each clamped to zero,
+// as in Record). The bucket counts are updated per value, but the sum
+// and max take one atomic update for the whole batch. This is the
+// drain path's recorder: it sees one batch of stamps per drain.
+func (h *Histogram) RecordSince(now int64, stamps []int64) {
+	if len(stamps) == 0 {
+		return
+	}
+	var sum uint64
+	var hi int64
+	for _, t := range stamps {
+		v := now - t
+		if v < 0 {
+			v = 0
+		}
+		h.counts[bucketIndex(v)].Add(1)
+		sum += uint64(v)
+		if v > hi {
+			hi = v
+		}
+	}
+	h.sum.Add(sum)
+	for {
+		cur := h.max.Load()
+		if hi <= cur || h.max.CompareAndSwap(cur, hi) {
+			return
+		}
+	}
+}
+
 // Count returns the number of recorded observations (a scan over the
 // buckets — queries pay so that Record doesn't).
 func (h *Histogram) Count() uint64 {

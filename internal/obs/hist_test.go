@@ -202,3 +202,25 @@ func TestRecordNegativeClamps(t *testing.T) {
 		t.Fatalf("negative record: count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
 	}
 }
+
+// RecordSince must leave the histogram exactly as a Record loop over
+// the same latencies would, including the clamp of negative values.
+func TestRecordSinceMatchesRecord(t *testing.T) {
+	const now = 1_000_000
+	stamps := []int64{now - 5, now - 31, now - 32, now - 999, now, now + 7, now - 123_456, now - 40}
+	want, got := NewHistogram(), NewHistogram()
+	for _, s := range stamps {
+		want.Record(now - s)
+	}
+	got.RecordSince(now, stamps)
+	got.RecordSince(now, nil)
+	if got.Count() != want.Count() || got.Sum() != want.Sum() || got.Max() != want.Max() {
+		t.Fatalf("RecordSince: count=%d sum=%d max=%d, want %d %d %d",
+			got.Count(), got.Sum(), got.Max(), want.Count(), want.Sum(), want.Max())
+	}
+	for i := range want.counts {
+		if got.counts[i].Load() != want.counts[i].Load() {
+			t.Fatalf("bucket %d: %d, want %d", i, got.counts[i].Load(), want.counts[i].Load())
+		}
+	}
+}

@@ -131,42 +131,6 @@ func TestSPSCConcurrent(t *testing.T) {
 	}
 }
 
-func TestBufferBasic(t *testing.T) {
-	b := NewBuffer[string](2)
-	if !b.Push("a") || !b.Push("b") {
-		t.Fatal("pushes failed")
-	}
-	if !b.Full() {
-		t.Fatal("should be full")
-	}
-	if b.Push("c") {
-		t.Fatal("overflow push should fail")
-	}
-	v, ok := b.Pop()
-	if !ok || v != "a" {
-		t.Fatalf("Pop = %q,%v", v, ok)
-	}
-	drained := b.Drain(nil)
-	if len(drained) != 1 || drained[0] != "b" {
-		t.Fatalf("Drain = %v", drained)
-	}
-	if b.Len() != 0 {
-		t.Fatal("should be empty after drain")
-	}
-	if _, ok := b.Pop(); ok {
-		t.Fatal("empty pop should fail")
-	}
-}
-
-func TestBufferInvalidCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBuffer[int](-1)
-}
-
 // Property: SPSC behaves exactly like a bounded FIFO reference model
 // under an arbitrary single-threaded op sequence.
 func TestPropertySPSCMatchesModel(t *testing.T) {
@@ -226,32 +190,33 @@ func TestSegmentPoolInvalid(t *testing.T) {
 
 func TestSegmentedFIFO(t *testing.T) {
 	p := NewSegmentPool[int](8, 4)
-	q := NewSegmented(p, 20)
-	for i := 0; i < 20; i++ {
-		if !q.Push(i) {
-			t.Fatalf("push %d failed", i)
+	q := NewUnbounded(p, 20)
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 20; i++ {
+			if !q.Push(i) {
+				t.Fatalf("round %d: push %d failed", round, i)
+			}
 		}
-	}
-	if q.Push(99) {
-		t.Fatal("push beyond quota should fail")
-	}
-	if q.Len() != 20 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-	for i := 0; i < 20; i++ {
-		v, ok := q.Pop()
-		if !ok || v != i {
-			t.Fatalf("pop %d = %d,%v", i, v, ok)
+		if q.Push(99) {
+			t.Fatal("push beyond quota should fail")
 		}
-	}
-	if p.FreeSegments() != 8 {
-		t.Fatalf("segments leaked: %d free", p.FreeSegments())
+		if q.Len() != 20 {
+			t.Fatalf("Len = %d", q.Len())
+		}
+		for i := 0; i < 20; i++ {
+			v, ok := q.Pop()
+			if !ok || v != i {
+				t.Fatalf("round %d: pop %d = %d,%v", round, i, v, ok)
+			}
+		}
+		// The second round refills to quota only if the drained
+		// segments came back rather than leaking.
 	}
 }
 
 func TestSegmentedQuota(t *testing.T) {
 	p := NewSegmentPool[int](4, 4)
-	q := NewSegmented(p, 2)
+	q := NewUnbounded(p, 2)
 	if q.Quota() != 2 {
 		t.Fatalf("Quota = %d", q.Quota())
 	}
@@ -278,28 +243,9 @@ func TestSegmentedQuota(t *testing.T) {
 	}
 }
 
-func TestSegmentedPoolExhaustion(t *testing.T) {
-	p := NewSegmentPool[int](2, 2)
-	a := NewSegmented(p, 100)
-	b := NewSegmented(p, 100)
-	for i := 0; i < 4; i++ {
-		if !a.Push(i) {
-			t.Fatalf("a.Push %d failed", i)
-		}
-	}
-	if b.Push(0) {
-		t.Fatal("pool exhausted: b should fail")
-	}
-	// Draining a frees segments for b.
-	a.DrainTo(nil)
-	if !b.Push(0) {
-		t.Fatal("freed segment should let b grow")
-	}
-}
-
 func TestSegmentedDrainTo(t *testing.T) {
 	p := NewSegmentPool[int](8, 4)
-	q := NewSegmented(p, 10)
+	q := NewUnbounded(p, 10)
 	for i := 0; i < 10; i++ {
 		q.Push(i)
 	}
@@ -312,8 +258,18 @@ func TestSegmentedDrainTo(t *testing.T) {
 			t.Fatalf("out = %v", out)
 		}
 	}
-	if q.Len() != 0 || p.FreeSegments() != 8 {
-		t.Fatal("drain should empty queue and release segments")
+	if q.Len() != 0 {
+		t.Fatal("drain should empty queue")
+	}
+	// Drained segments are reusable: the pool can again back everything
+	// but the partly written tail segment.
+	q.SetQuota(p.Capacity())
+	n := 0
+	for q.Push(n) {
+		n++
+	}
+	if n < p.Capacity()-p.SegSize() {
+		t.Fatalf("refilled %d after drain, want >= %d", n, p.Capacity()-p.SegSize())
 	}
 }
 
@@ -324,17 +280,18 @@ func TestSegmentedNegativeQuotaPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSegmented(p, -1)
+	NewUnbounded(p, -1)
 }
 
-// Property: Segmented matches a quota-bounded FIFO model, and the pool
-// never leaks segments across arbitrary op sequences.
+// Property: the segmented queue matches a quota-bounded FIFO model
+// under random quota raises and shrinks, and never leaks segments
+// across arbitrary op sequences.
 func TestPropertySegmentedMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
 		p := NewSegmentPool[int](6, 4)
 		quota := rng.Intn(30)
-		q := NewSegmented(p, quota)
+		q := NewUnbounded(p, quota)
 		var model []int
 		next := 0
 		for op := 0; op < 500; op++ {
@@ -346,9 +303,9 @@ func TestPropertySegmentedMatchesModel(t *testing.T) {
 					if len(model) > quota {
 						t.Fatalf("trial %d: quota exceeded", trial)
 					}
-				} else if len(model) < quota && p.FreeSegments() > 0 && q.Len()%p.SegSize() != 0 {
+				} else if len(model) < quota && p.FreeSegments() > 0 {
 					// Failure is only legitimate at quota or when a new
-					// segment was needed and unavailable.
+					// segment was needed and none was left.
 					t.Fatalf("trial %d: spurious push failure (len=%d quota=%d free=%d)",
 						trial, q.Len(), quota, p.FreeSegments())
 				}
@@ -373,8 +330,14 @@ func TestPropertySegmentedMatchesModel(t *testing.T) {
 			}
 		}
 		q.DrainTo(nil)
-		if p.FreeSegments() != p.Total() {
-			t.Fatalf("trial %d: leaked segments", trial)
+		// Every segment but the tail one must be reachable again.
+		q.SetQuota(p.Capacity())
+		n := 0
+		for q.Push(n) {
+			n++
+		}
+		if n < p.Capacity()-p.SegSize() {
+			t.Fatalf("trial %d: leaked segments (refilled %d of %d)", trial, n, p.Capacity())
 		}
 	}
 }
@@ -388,9 +351,9 @@ func BenchmarkSPSCPushPop(b *testing.B) {
 	}
 }
 
-func BenchmarkSegmentedPushPop(b *testing.B) {
+func BenchmarkUnboundedPushPop(b *testing.B) {
 	p := NewSegmentPool[int](16, 64)
-	q := NewSegmented(p, 1024)
+	q := NewUnbounded(p, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Push(i)

@@ -7,25 +7,21 @@ import (
 )
 
 // Seg is one pool segment: a fixed-size slot array plus the intrusive
-// link and cursors the queues built on the pool need. Nodes are
-// preallocated by the pool together with their backing storage, so
-// acquiring a segment never allocates — the arena hands back the same
-// headers it was built with, forever. head/tail are the Segmented
-// cursors (mutex mode); Unbounded uses its own private cursors and only
-// touches next.
+// link Unbounded chains segments with. Nodes are preallocated by the
+// pool together with their backing storage, so acquiring a segment
+// never allocates — the arena hands back the same headers it was built
+// with, forever.
 type Seg[T any] struct {
 	slots []T
-	head  int
-	tail  int
 	next  atomic.Pointer[Seg[T]]
 }
 
 // SegmentPool is a preallocated arena of fixed-size segments shared by
-// a set of Segmented/Unbounded queues. It realizes the paper's global
+// the Unbounded queues built on it. It realizes the paper's global
 // buffer Bg: "a preallocated buffer of size Bg = B0 × M" whose walls
 // between consumer buffers are elastic (§V-C, Fig. 8). Queues grow by
-// taking segments from the pool and shrink by returning them; neither
-// the pool nor its segment headers allocate after construction.
+// taking segments from the pool; neither the pool nor its segment
+// headers allocate after construction.
 type SegmentPool[T any] struct {
 	mu      sync.Mutex
 	segSize int
@@ -76,7 +72,6 @@ func (p *SegmentPool[T]) acquire() (*Seg[T], bool) {
 	}
 	seg := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
-	seg.head, seg.tail = 0, 0
 	seg.next.Store(nil)
 	return seg, true
 }
@@ -89,183 +84,4 @@ func (p *SegmentPool[T]) release(seg *Seg[T]) {
 	}
 	seg.next.Store(nil)
 	p.free = append(p.free, seg)
-}
-
-// Segmented is an elastic FIFO queue backed by pool segments. Its
-// capacity is governed by a quota (in items): Push fails once the queue
-// holds quota items, or when the quota demands a segment the pool
-// cannot supply.
-//
-// Two builds exist. NewSegmented guards the queue with a mutex and is
-// safe for any number of concurrent producers. NewSegmentedSP is the
-// single-producer fast path: it delegates to an Unbounded list-of-rings
-// so steady-state Push/PushBatch/Pop/DrainTo are wait-free and
-// allocation-free (exactly one goroutine may push and one may pop at a
-// time; Len/Quota/SetQuota stay safe from anywhere).
-type Segmented[T any] struct {
-	sp *Unbounded[T] // non-nil: single-producer mode; mu and list unused
-
-	mu    sync.Mutex
-	pool  *SegmentPool[T]
-	head  *Seg[T]
-	tail  *Seg[T]
-	size  int
-	quota int
-}
-
-// NewSegmented returns an elastic queue with the given initial item
-// quota drawing from pool, safe for concurrent producers (a mutex
-// serializes every operation).
-func NewSegmented[T any](pool *SegmentPool[T], quota int) *Segmented[T] {
-	if quota < 0 {
-		panic(fmt.Sprintf("ring: negative quota %d", quota))
-	}
-	return &Segmented[T]{pool: pool, quota: quota}
-}
-
-// NewSegmentedSP returns an elastic queue in single-producer mode: the
-// mutex is dropped and every queue operation delegates to a wait-free
-// Unbounded. The caller must guarantee at most one pushing goroutine
-// and at most one popping goroutine at a time.
-func NewSegmentedSP[T any](pool *SegmentPool[T], quota int) *Segmented[T] {
-	if quota < 0 {
-		panic(fmt.Sprintf("ring: negative quota %d", quota))
-	}
-	return &Segmented[T]{sp: NewUnbounded(pool, quota)}
-}
-
-// Len returns the number of buffered items.
-func (q *Segmented[T]) Len() int {
-	if q.sp != nil {
-		return q.sp.Len()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.size
-}
-
-// Quota returns the current item quota.
-func (q *Segmented[T]) Quota() int {
-	if q.sp != nil {
-		return q.sp.Quota()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.quota
-}
-
-// SetQuota adjusts the item quota. Shrinking below the current length
-// is allowed: no items are dropped, but pushes fail until the queue
-// drains below the new quota (matching the paper's downsizing, which
-// only constrains future buffering).
-func (q *Segmented[T]) SetQuota(quota int) {
-	if q.sp != nil {
-		q.sp.SetQuota(quota)
-		return
-	}
-	if quota < 0 {
-		quota = 0
-	}
-	q.mu.Lock()
-	q.quota = quota
-	q.mu.Unlock()
-}
-
-// Push appends v, returning false when the quota is reached or the pool
-// has no segment to back the growth.
-func (q *Segmented[T]) Push(v T) bool {
-	if q.sp != nil {
-		return q.sp.Push(v)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.pushLocked(v)
-}
-
-// PushBatch appends items in order, stopping at the quota (or when the
-// pool runs dry) and returning how many were accepted. It is the bulk
-// counterpart of Push: one quota negotiation and (in single-producer
-// mode) one index publication for the whole batch instead of one per
-// item.
-func (q *Segmented[T]) PushBatch(items []T) int {
-	if q.sp != nil {
-		return q.sp.PushBatch(items)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for i, v := range items {
-		if !q.pushLocked(v) {
-			return i
-		}
-	}
-	return len(items)
-}
-
-func (q *Segmented[T]) pushLocked(v T) bool {
-	if q.size >= q.quota {
-		return false
-	}
-	if q.tail == nil || q.tail.tail == len(q.tail.slots) {
-		seg, ok := q.pool.acquire()
-		if !ok {
-			return false
-		}
-		if q.tail == nil {
-			q.head, q.tail = seg, seg
-		} else {
-			q.tail.next.Store(seg)
-			q.tail = seg
-		}
-	}
-	q.tail.slots[q.tail.tail] = v
-	q.tail.tail++
-	q.size++
-	return true
-}
-
-// Pop removes the oldest item, releasing emptied segments back to the
-// pool immediately so other queues can grow.
-func (q *Segmented[T]) Pop() (v T, ok bool) {
-	if q.sp != nil {
-		return q.sp.Pop()
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.popLocked()
-}
-
-func (q *Segmented[T]) popLocked() (v T, ok bool) {
-	if q.size == 0 {
-		return v, false
-	}
-	seg := q.head
-	v = seg.slots[seg.head]
-	var zero T
-	seg.slots[seg.head] = zero
-	seg.head++
-	q.size--
-	if seg.head == seg.tail {
-		// Segment drained: unlink and return to pool.
-		q.head = seg.next.Load()
-		if q.head == nil {
-			q.tail = nil
-		}
-		q.pool.release(seg)
-	}
-	return v, true
-}
-
-// DrainTo pops every buffered item into dst (appending) and returns the
-// extended slice. This is the batch-processing drain.
-func (q *Segmented[T]) DrainTo(dst []T) []T {
-	if q.sp != nil {
-		return q.sp.DrainTo(dst)
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.size > 0 {
-		v, _ := q.popLocked()
-		dst = append(dst, v)
-	}
-	return dst
 }

@@ -7,14 +7,13 @@
 //     PAPERS.md) — the fast path between one producer and its consumer
 //     (the paper's pairing is strictly 1:1, §I).
 //   - Unbounded: a wait-free SPSC list-of-rings over a SegmentPool
-//     (Torquati's uSPSC) carrying the paper's elastic item quota.
-//   - Buffer: a plain, single-goroutine circular buffer used for
-//     bookkeeping inside the simulator.
-//   - Segmented: an elastic queue built from pool segments,
-//     implementing the paper's "linked lists, not actual contiguous
-//     resizing" dynamic buffer (§V-C, Fig. 8) for the live runtime —
-//     mutex-guarded for concurrent producers, or delegating to
-//     Unbounded on the single-producer fast path.
+//     (Torquati's uSPSC) carrying the paper's elastic item quota — the
+//     "linked lists, not actual contiguous resizing" dynamic buffer
+//     (§V-C, Fig. 8) behind every live pair. A pair whose producer
+//     side is shared serializes its producers with its own lock; the
+//     queue stays single-producer.
+//   - Queue: an unbounded slice-backed FIFO the simulator uses for
+//     arrival-time bookkeeping (virtual time is single-threaded).
 package ring
 
 import (
@@ -208,62 +207,4 @@ func (q *SPSC[T]) PopBatch(dst []T) int {
 	}
 	q.head.Store(head + n)
 	return int(n)
-}
-
-// Buffer is a plain single-goroutine circular buffer. The simulator
-// uses it where the paper's implementations use a circular buffer but
-// no real concurrency exists (virtual time is single-threaded).
-type Buffer[T any] struct {
-	slots []T
-	head  int
-	size  int
-}
-
-// NewBuffer returns a Buffer with exactly the given capacity.
-func NewBuffer[T any](capacity int) *Buffer[T] {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("ring: invalid Buffer capacity %d", capacity))
-	}
-	return &Buffer[T]{slots: make([]T, capacity)}
-}
-
-// Cap returns the capacity.
-func (b *Buffer[T]) Cap() int { return len(b.slots) }
-
-// Len returns the number of buffered items.
-func (b *Buffer[T]) Len() int { return b.size }
-
-// Full reports whether the buffer is at capacity.
-func (b *Buffer[T]) Full() bool { return b.size == len(b.slots) }
-
-// Push appends v, returning false when full.
-func (b *Buffer[T]) Push(v T) bool {
-	if b.size == len(b.slots) {
-		return false
-	}
-	b.slots[(b.head+b.size)%len(b.slots)] = v
-	b.size++
-	return true
-}
-
-// Pop removes the oldest item.
-func (b *Buffer[T]) Pop() (v T, ok bool) {
-	if b.size == 0 {
-		return v, false
-	}
-	v = b.slots[b.head]
-	var zero T
-	b.slots[b.head] = zero
-	b.head = (b.head + 1) % len(b.slots)
-	b.size--
-	return v, true
-}
-
-// Drain removes all items, appending them to dst and returning it.
-func (b *Buffer[T]) Drain(dst []T) []T {
-	for b.size > 0 {
-		v, _ := b.Pop()
-		dst = append(dst, v)
-	}
-	return dst
 }

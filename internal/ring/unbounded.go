@@ -82,6 +82,11 @@ func (u *Unbounded[T]) Len() int {
 	return int(u.pushed.Load() - u.popped.Load())
 }
 
+// Pushed returns how many items have ever been published to the queue.
+// Safe from any goroutine; an item is counted the moment it becomes
+// visible to the consumer, never later.
+func (u *Unbounded[T]) Pushed() uint64 { return u.pushed.Load() }
+
 // Quota returns the current item quota.
 func (u *Unbounded[T]) Quota() int { return int(u.quota.Load()) }
 

@@ -191,13 +191,13 @@ func TestUnboundedConcurrentFIFO(t *testing.T) {
 	}
 }
 
-// TestPropertySegmentedSPMatchesModel drives the single-producer
-// Segmented delegate against the plain Queue model with mixed
-// push/pushbatch/pop/drain operations.
+// TestPropertySegmentedSPMatchesModel drives the segmented
+// single-producer queue (Unbounded) against the plain Queue model with
+// mixed push/pushbatch/pop/drain operations.
 func TestPropertySegmentedSPMatchesModel(t *testing.T) {
 	f := func(ops []uint8, vals []int) bool {
 		pool := NewSegmentPool[int](6, 4)
-		q := NewSegmentedSP(pool, 10)
+		q := NewUnbounded(pool, 10)
 		model := &Queue[int]{}
 		vi := 0
 		nextVal := func() int {

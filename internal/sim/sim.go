@@ -182,9 +182,6 @@ func (c *Core) ActiveAt(t simtime.Time) bool {
 	return c.pinnedAwake || c.busyUntil > t
 }
 
-// BusyUntil returns the end of the current busy horizon.
-func (c *Core) BusyUntil() simtime.Time { return c.busyUntil }
-
 // account integrates residency up to t. Active segments additionally
 // accrue into the DVFS-weighted accumulator once SetFrequency has been
 // called; SetFrequency accounts before switching, so no segment ever

@@ -2,7 +2,7 @@
 // algorithm interprets time as a track with periodic slots" (§V-A),
 // like a race track with markings every Δ.
 //
-// Slots are indexed by int64; slot i spans [Origin+i·Δ, Origin+(i+1)·Δ).
+// Slots are indexed by int64; slot i spans [origin+i·Δ, origin+(i+1)·Δ).
 // The package provides the alignment function g(τ) = inf{s ∈ S | s ≤ τ}
 // (Eq. 6) and the misalignment objective of Eq. 7.
 package track
@@ -26,12 +26,6 @@ func New(delta simtime.Duration, origin simtime.Time) Track {
 	}
 	return Track{delta: delta, origin: origin}
 }
-
-// Delta returns the slot size Δ.
-func (tr Track) Delta() simtime.Duration { return tr.delta }
-
-// Origin returns the timestamp of slot 0.
-func (tr Track) Origin() simtime.Time { return tr.origin }
 
 // Index returns the slot containing t (floor division, correct for t
 // before the origin too).

@@ -57,6 +57,10 @@ type pairState struct {
 	drainFault func(final bool) drainReport
 	// pending returns the current queue length.
 	pending func() int
+	// pushed returns how many items the pair ever accepted: the
+	// queue's own published count, so an item is counted in no later
+	// than a drain can count it out.
+	pushed func() uint64
 	// quota returns the pair's current elastic queue quota.
 	quota func() int
 	// setQuota adjusts the pair's elastic queue quota.
@@ -88,7 +92,6 @@ type pairState struct {
 
 	// Per-pair counters (atomics: read by PairStats from any goroutine,
 	// written on the producer and manager paths).
-	itemsIn      atomic.Uint64
 	itemsOut     atomic.Uint64
 	invocations  atomic.Uint64
 	overflows    atomic.Uint64
@@ -175,11 +178,15 @@ func (st *pairState) probeDue(now simtime.Time) bool {
 	return now >= simtime.Time(st.probeAt.Load())
 }
 
-// pairStats snapshots the pair's counters.
+// pairStats snapshots the pair's counters. The items that left are
+// read before the items that entered: each was published before it
+// could leave, so a snapshot taken mid-flight never shows ItemsOut +
+// Dropped + HandedOff above ItemsIn.
 func (st *pairState) pairStats() PairStats {
-	return PairStats{
-		ItemsIn:      st.itemsIn.Load(),
+	s := PairStats{
 		ItemsOut:     st.itemsOut.Load(),
+		Dropped:      st.dropped.Load(),
+		HandedOff:    st.handedOff.Load(),
 		Invocations:  st.invocations.Load(),
 		Overflows:    st.overflows.Load(),
 		Kicks:        st.kicks.Load(),
@@ -188,9 +195,9 @@ func (st *pairState) pairStats() PairStats {
 		Timeouts:     st.timeouts.Load(),
 		Quarantines:  st.quarantines.Load(),
 		Redeliveries: st.redeliveries.Load(),
-		Dropped:      st.dropped.Load(),
-		HandedOff:    st.handedOff.Load(),
 	}
+	s.ItemsIn = st.pushed()
+	return s
 }
 
 // manager is a live core manager (§V-B): one goroutine owning a slot

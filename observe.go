@@ -46,6 +46,10 @@ type pairObs struct {
 	stamps *obs.StampRing
 	wait   *obs.Histogram // enqueue → handler-start
 	done   *obs.Histogram // enqueue → handler-done
+	// enqueued counts accepted items for the 1-in-LatencySampleEvery
+	// stamp stride. Producer-owned: one producer at a time, as for the
+	// queue itself.
+	enqueued uint64
 }
 
 func newObsState(o options, start time.Time) *obsState {

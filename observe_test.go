@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -358,4 +359,20 @@ func TestTimelineEventKinds(t *testing.T) {
 		kinds[r.Kind]++
 	}
 	t.Fatalf("timeline missing event kinds after storm: %v", kinds)
+}
+
+func TestWithTimelineValidation(t *testing.T) {
+	for _, capacity := range []int{0, -1} {
+		if _, err := New(WithTimeline(capacity)); err == nil ||
+			!strings.Contains(err.Error(), "WithTimeline") {
+			t.Fatalf("New(WithTimeline(%d)) = %v, want construction error", capacity, err)
+		}
+	}
+	rt, err := New(WithTimeline(TimelineDefaultCap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -9,68 +9,24 @@ import (
 	"repro/internal/ring"
 )
 
-// PairWithMaxLatency overrides the pair's response-latency bound.
-//
-// Deprecated: use MaxLatency, which rejects non-positive values with a
-// construction error instead of deferring to Open's slot-size check.
-func PairWithMaxLatency(d time.Duration) PairOption {
-	return func(c *pairConfig) { c.maxLatency = d }
-}
-
-// PairWithHandlerTimeout arms the handler watchdog.
-//
-// Deprecated: use HandlerTimeout, which rejects negative values with a
-// construction error; this shim silently clamps them to 0 (disabled)
-// as the old API did.
-func PairWithHandlerTimeout(d time.Duration) PairOption {
-	return func(c *pairConfig) {
-		if d < 0 {
-			d = 0
-		}
-		c.handlerTimeout = d
-	}
-}
-
-// PairWithBreaker sets the circuit-breaker threshold.
-//
-// Deprecated: use Breaker, which rejects negative values with a
-// construction error; this shim silently clamps them to 0 (disabled)
-// as the old API did.
-func PairWithBreaker(k int) PairOption {
-	return func(c *pairConfig) {
-		if k < 0 {
-			k = 0
-		}
-		c.breakerK = k
-	}
-}
-
-// PairWithRedelivery bounds redelivery attempts.
-//
-// Deprecated: use Redelivery, which rejects negative values with a
-// construction error; this shim silently clamps them to 0
-// (at-most-once) as the old API did.
-func PairWithRedelivery(n int) PairOption {
-	return func(c *pairConfig) {
-		if n < 0 {
-			n = 0
-		}
-		c.maxRedeliver = n
-	}
-}
-
 // Pair is one producer-consumer pair: a bounded elastic buffer feeding
-// a batch handler. By default exactly one goroutine may call
-// Put/PutBatch at a time (the paper pairs each consumer with one
-// producer, and the wait-free single-producer queue depends on it);
-// pass ConcurrentProducers to Open when several goroutines share the
+// a batch handler. The buffer is a wait-free single-producer queue, so
+// by default exactly one goroutine may call Put/PutBatch at a time (the
+// paper pairs each consumer with one producer); pass
+// ConcurrentProducers to Open when several goroutines share the
 // producer side. The handler runs on the pair's core-manager
 // goroutine.
 type Pair[T any] struct {
 	rt      *Runtime
 	st      *pairState
-	q       *ring.Segmented[T]
+	q       *ring.Unbounded[T]
 	handler func(context.Context, []T) error
+
+	// putMu serializes producers under ConcurrentProducers, so the
+	// queue and the latency-stamp sampling (pairObs.enqueued and the
+	// stamp ring) keep seeing one producer at a time. Nil on the
+	// default single-producer path.
+	putMu *sync.Mutex
 
 	// drainMu serializes drains. They normally all happen on the
 	// manager goroutine, but quarantine probes run on their own
@@ -92,31 +48,6 @@ type Pair[T any] struct {
 	// stay empty unless the runtime was built WithHistograms.
 	stampScratch []int64
 	retryStamps  []int64
-}
-
-// NewPair registers a consumer whose handler has nothing to report.
-//
-// Deprecated: use Open with the Batch adaptor. Unlike Open, this shim
-// keeps the old mutex-guarded queue (safe for concurrent producers, as
-// the old constructors implicitly were); callers migrating to Open
-// take on the single-producer contract unless they pass
-// ConcurrentProducers.
-func NewPair[T any](rt *Runtime, handler func(batch []T), opts ...PairOption) (*Pair[T], error) {
-	if handler == nil {
-		panic("repro: nil handler")
-	}
-	return Open(rt, Batch(handler), append([]PairOption{ConcurrentProducers()}, opts...)...)
-}
-
-// NewPairFunc registers a consumer with an error-aware handler.
-//
-// Deprecated: use Open with the Func adaptor (or a Handler directly).
-// The same concurrent-producers note as NewPair applies.
-func NewPairFunc[T any](rt *Runtime, handler func(ctx context.Context, batch []T) error, opts ...PairOption) (*Pair[T], error) {
-	if handler == nil {
-		panic("repro: nil handler")
-	}
-	return Open(rt, Func(handler), append([]PairOption{ConcurrentProducers()}, opts...)...)
 }
 
 // ID returns the pair's runtime-assigned id, the key that joins this
@@ -208,10 +139,7 @@ func (p *Pair[T]) recordWait(n int) []int64 {
 	}
 	s := po.stamps.PopBatch(p.stampScratch[:0], n)
 	p.stampScratch = s
-	start := p.rt.obs.clock.Precise()
-	for _, t := range s {
-		po.wait.Record(start - t)
-	}
+	po.wait.RecordSince(p.rt.obs.clock.Precise(), s)
 	return s
 }
 
@@ -222,14 +150,11 @@ func (p *Pair[T]) recordDone(stamps []int64) {
 	if po == nil || len(stamps) == 0 {
 		return
 	}
-	end := p.rt.obs.clock.Precise()
-	for _, t := range stamps {
-		po.done.Record(end - t)
-	}
+	po.done.RecordSince(p.rt.obs.clock.Precise(), stamps)
 }
 
 // invoke hands one batch to the handler under panic recovery and, when
-// PairWithHandlerTimeout is set, a watchdog. It reports whether the
+// HandlerTimeout is set, a watchdog. It reports whether the
 // batch was handled cleanly; failures (panic, error, overrun) are
 // charged to the pair's and runtime's counters here.
 func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
@@ -329,12 +254,17 @@ func (p *Pair[T]) Put(v T) error {
 	if p.st.quarantined.Load() && !p.st.probeDue(p.rt.now()) {
 		return ErrQuarantined
 	}
-	if p.q.Push(v) {
-		p.rt.stats.itemsIn.Add(1)
-		n := p.st.itemsIn.Add(1)
-		if po := p.st.obs; po != nil && n&stampSampleMask == 0 {
+	p.lockProducers()
+	ok := p.q.Push(v)
+	if po := p.st.obs; ok && po != nil {
+		po.enqueued++
+		if po.enqueued&stampSampleMask == 0 {
 			po.stamps.Push(p.rt.obs.clock.Now())
 		}
+	}
+	p.unlockProducers()
+	if ok {
+		p.rt.stats.itemsIn.Add(1)
 		if p.rt.closed.Load() {
 			// Runtime.Close raced in after the entry check, so its
 			// final sweep may already have run: drain on the caller
@@ -368,20 +298,23 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 	if p.st.quarantined.Load() && !p.st.probeDue(p.rt.now()) {
 		return 0, ErrQuarantined
 	}
+	p.lockProducers()
 	n := p.q.PushBatch(items)
-	if n > 0 {
-		p.rt.stats.itemsIn.Add(uint64(n))
-		end := p.st.itemsIn.Add(uint64(n))
-		if po := p.st.obs; po != nil {
-			// One stamp per sampling-stride boundary the batch crossed.
-			k := int(end>>stampSampleShift) - int((end-uint64(n))>>stampSampleShift)
-			if k > 0 {
-				now := p.rt.obs.clock.Now()
-				for i := 0; i < k; i++ {
-					po.stamps.Push(now)
-				}
+	if po := p.st.obs; n > 0 && po != nil {
+		// One stamp per sampling-stride boundary the batch crossed.
+		po.enqueued += uint64(n)
+		end := po.enqueued
+		k := int(end>>stampSampleShift) - int((end-uint64(n))>>stampSampleShift)
+		if k > 0 {
+			now := p.rt.obs.clock.Now()
+			for i := 0; i < k; i++ {
+				po.stamps.Push(now)
 			}
 		}
+	}
+	p.unlockProducers()
+	if n > 0 {
+		p.rt.stats.itemsIn.Add(uint64(n))
 		if p.rt.closed.Load() {
 			// Same close race as Put: drain on the caller.
 			p.st.countFinal(p.rt, p.drainFault(true))
@@ -397,6 +330,22 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 		return n, ErrOverflow
 	}
 	return n, nil
+}
+
+// lockProducers takes the producer lock of a ConcurrentProducers pair;
+// it is a no-op on the single-producer path. Only the enqueue itself
+// runs under it: kicks, forced drains and the close-race drain happen
+// after unlockProducers.
+func (p *Pair[T]) lockProducers() {
+	if p.putMu != nil {
+		p.putMu.Lock()
+	}
+}
+
+func (p *Pair[T]) unlockProducers() {
+	if p.putMu != nil {
+		p.putMu.Unlock()
+	}
 }
 
 // kickIfUnarmed arms the pair and wakes its manager if no reservation

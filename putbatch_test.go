@@ -2,6 +2,8 @@ package repro
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -135,11 +137,104 @@ func TestPutBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestSegmentedPushBatch covers the ring-level bulk push: in-order
-// acceptance under one lock, stopping exactly at the quota.
-func TestSegmentedPushBatch(t *testing.T) {
+// TestConcurrentProducersPerProducerFIFO shares one ConcurrentProducers
+// pair between several goroutines mixing Put and PutBatch while the
+// manager drains. The quota is small, so overflows and forced drains
+// interleave with the producers. Each producer's items must reach the
+// handler in the order it sent them, and every item must come out
+// exactly once. Histograms are on, so the enqueue-stamp ring sees the
+// same producer mix.
+func TestConcurrentProducersPerProducerFIFO(t *testing.T) {
+	const producers, perProducer, batchLen = 4, 2000, 7
+	type item struct{ producer, seq int }
+
+	rt, err := New(WithManagers(2), WithSlotSize(time.Millisecond),
+		WithMaxLatency(5*time.Millisecond), WithBuffer(64), WithHistograms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	var mu sync.Mutex
+	next := make([]int, producers)
+	var violations []string
+	pair, err := Open(rt, Batch(func(batch []item) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, it := range batch {
+			if it.seq != next[it.producer] && len(violations) < 5 {
+				violations = append(violations,
+					fmt.Sprintf("producer %d: got seq %d, want %d", it.producer, it.seq, next[it.producer]))
+			}
+			next[it.producer] = it.seq + 1
+		}
+	}), ConcurrentProducers())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < producers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			buf := make([]item, 0, batchLen)
+			for seq := 0; seq < perProducer; {
+				if seq%(2*batchLen) < batchLen {
+					// Single puts, retried in place on overflow.
+					if err := pair.Put(item{w, seq}); err == nil {
+						seq++
+					} else if errors.Is(err, ErrOverflow) {
+						runtime.Gosched()
+					} else {
+						t.Errorf("producer %d: Put: %v", w, err)
+						return
+					}
+					continue
+				}
+				buf = buf[:0]
+				for i := seq; i < seq+batchLen && i < perProducer; i++ {
+					buf = append(buf, item{w, i})
+				}
+				n, err := pair.PutBatch(buf)
+				seq += n
+				if err != nil && !errors.Is(err, ErrOverflow) {
+					t.Errorf("producer %d: PutBatch: %v", w, err)
+					return
+				}
+				if n < len(buf) {
+					runtime.Gosched()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := pair.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	for _, v := range violations {
+		t.Error(v)
+	}
+	for w, n := range next {
+		if n != perProducer {
+			t.Errorf("producer %d: handler's last seq+1 = %d, want %d", w, n, perProducer)
+		}
+	}
+	st := pair.Stats()
+	if st.ItemsIn != producers*perProducer || st.ItemsOut != st.ItemsIn {
+		t.Fatalf("ItemsIn %d, ItemsOut %d after Close; want both %d", st.ItemsIn, st.ItemsOut, producers*perProducer)
+	}
+}
+
+// TestUnboundedPushBatch covers the ring-level bulk push behind
+// PutBatch: in-order acceptance across a segment boundary, stopping
+// exactly at the quota.
+func TestUnboundedPushBatch(t *testing.T) {
 	pool := ring.NewSegmentPool[int](2, 4)
-	q := ring.NewSegmented(pool, 6)
+	q := ring.NewUnbounded(pool, 6)
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	if n := q.PushBatch(items); n != 6 {
 		t.Fatalf("accepted %d, want quota 6", n)
