@@ -13,8 +13,13 @@ build:
 test:
 	$(GO) test ./...
 
+# Repo-wide flake sweep: every package under the race detector,
+# RACE_COUNT times over. Grow RACE_COUNT for a longer hunt. The timeout
+# is per package binary, and internal/exp alone needs about a minute
+# per pass under -race, beyond go test's 10m default at these counts.
+RACE_COUNT ?= 10
 race:
-	$(GO) test -race .
+	$(GO) test -race -count=$(RACE_COUNT) -timeout 60m ./...
 
 # CI entry point: vet, build, full race-enabled test suite. Includes
 # the pcd daemon smoke test (start, ingest over HTTP, scrape /metrics,

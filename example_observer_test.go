@@ -8,9 +8,9 @@ import (
 	"repro"
 )
 
-// WithObserver exposes every drain, reservation and idle transition —
-// the live analogue of the simulator's invocation traces, useful for
-// dashboards and debugging.
+// WithObserver exposes every runtime event (drains, reservations, timer
+// fires, breaker transitions, ...), the live analogue of the
+// simulator's invocation traces, useful for dashboards and debugging.
 func ExampleWithObserver() {
 	var drains atomic.Uint64
 	rt, err := repro.New(

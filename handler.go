@@ -211,8 +211,6 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 	}
 	p.st = st
 	rt.trackPair(st)
-	if obs := rt.opts.observer; obs != nil {
-		obs(Event{Kind: EventPairOpen, Pair: id, At: time.Duration(rt.now())})
-	}
+	p.event(EventPairOpen, 0)
 	return p, nil
 }

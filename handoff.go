@@ -1,7 +1,5 @@
 package repro
 
-import "time"
-
 // Handoff quiesce-drains the pair for a cross-process migration: it
 // detaches the pair from its core manager and closes it WITHOUT running
 // the consumer handler, returning every unprocessed item — a failed
@@ -48,8 +46,6 @@ func (p *Pair[T]) Handoff() ([]T, error) {
 		p.rt.stats.handedOff.Add(n)
 	}
 	p.rt.removePair(p.st.id)
-	if obs := p.rt.opts.observer; obs != nil {
-		obs(Event{Kind: EventPairClose, Pair: p.st.id, At: time.Duration(p.rt.now())})
-	}
+	p.event(EventPairClose, 0)
 	return items, nil
 }

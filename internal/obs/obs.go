@@ -8,9 +8,10 @@
 //     answered within a bounded relative error (≤ 1/16 ≈ 6.25%), and
 //     histograms merge by bucket addition so per-pair instances can be
 //     rolled up into runtime totals.
-//   - Timeline is a bounded ring of wakeup records (timer fires, forced
-//     wakes, latched drains, migrations, breaker transitions) — the
-//     live analogue of the paper's Fig. 6 timeline view. Appends are
+//   - Timeline is a bounded ring of sequenced records; the root
+//     package stores every runtime Event in it (timer fires, forced
+//     wakes, latched drains, breaker transitions, ...), the live
+//     analogue of the paper's Fig. 6 timeline view. Appends are
 //     lock-free; the documented loss bound is the ring capacity: only
 //     the most recent Cap() records survive.
 //   - StampRing carries per-item enqueue timestamps from the producer

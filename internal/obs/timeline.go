@@ -5,94 +5,60 @@ import (
 	"sync/atomic"
 )
 
-// Kind classifies a timeline record.
-type Kind uint8
-
-const (
-	KindTimerFire  Kind = iota + 1 // a manager's slot timer fired
-	KindForcedWake                 // overflow forced an immediate drain
-	KindDrain                      // one pair's batch drained (latched onto Wake)
-	KindMigrate                    // pair moved between managers
-	KindQuarantine                 // breaker opened
-	KindRecover                    // breaker closed after a successful probe
-)
-
-var kindNames = [...]string{
-	KindTimerFire:  "timer-fire",
-	KindForcedWake: "forced-wake",
-	KindDrain:      "drain",
-	KindMigrate:    "migrate",
-	KindQuarantine: "quarantine",
-	KindRecover:    "recover",
+// Timeline is a bounded lock-free ring of sequenced records. The caller
+// numbers the records (the root package's event path assigns one
+// global sequence per runtime event); Appends never block and never
+// fail, and once more than Cap records have been appended each new one
+// overwrites the one Cap sequence numbers older. That is the documented
+// loss bound: with contiguous sequence numbers, a dump always holds the
+// most recent min(appended, Cap) records.
+type Timeline[T any] struct {
+	slots    []atomic.Pointer[entry[T]]
+	mask     uint64
+	appended atomic.Uint64
 }
 
-// String returns the wire name used by the /debug/timeline JSON dump.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
-	}
-	return "unknown"
-}
-
-// Record is one timeline entry. Seq orders records globally; Wake on a
-// drain record is the Seq of the timer-fire or forced-wake that caused
-// it, which is what lets a dump prove several pairs latched onto one
-// shared fire (the live Fig. 6 signature).
-type Record struct {
-	Seq     uint64 // global order, assigned by Append
-	Kind    Kind
-	Nanos   int64  // runtime-relative time of the event
-	Manager int    // core manager that observed it
-	Slot    int64  // slot index at the event (-1 when not applicable)
-	Pair    uint64 // pair ID (0 for manager-level records)
-	Wake    uint64 // causing fire's Seq (drain records only)
-	Items   int    // items delivered (drain) or pending (fire/wake)
-}
-
-// Timeline is a bounded lock-free ring of Records. Appends never block
-// and never fail; once more than Cap records have been appended, each
-// new one overwrites the oldest. That is the documented loss bound:
-// a dump always holds the most recent min(appended, Cap) records.
-type Timeline struct {
-	slots []atomic.Pointer[Record]
-	mask  uint64
-	seq   atomic.Uint64
+type entry[T any] struct {
+	seq uint64
+	v   T
 }
 
 // NewTimeline returns a ring holding at least capacity records
 // (rounded up to a power of two, minimum 16).
-func NewTimeline(capacity int) *Timeline {
+func NewTimeline[T any](capacity int) *Timeline[T] {
 	n := 16
 	for n < capacity {
 		n <<= 1
 	}
-	return &Timeline{slots: make([]atomic.Pointer[Record], n), mask: uint64(n - 1)}
+	return &Timeline[T]{slots: make([]atomic.Pointer[entry[T]], n), mask: uint64(n - 1)}
 }
 
 // Cap returns the ring capacity (the loss bound).
-func (t *Timeline) Cap() int { return len(t.slots) }
+func (t *Timeline[T]) Cap() int { return len(t.slots) }
 
-// Append records r, assigns its Seq, and returns that Seq.
-func (t *Timeline) Append(r Record) uint64 {
-	seq := t.seq.Add(1)
-	r.Seq = seq
-	t.slots[seq&t.mask].Store(&r)
-	return seq
+// Append records v under sequence number seq.
+func (t *Timeline[T]) Append(seq uint64, v T) {
+	t.slots[seq&t.mask].Store(&entry[T]{seq: seq, v: v})
+	t.appended.Add(1)
 }
 
 // Appended returns how many records have ever been appended.
-func (t *Timeline) Appended() uint64 { return t.seq.Load() }
+func (t *Timeline[T]) Appended() uint64 { return t.appended.Load() }
 
-// Dump returns the surviving records ordered by Seq. It is safe to call
-// concurrently with Append; records overwritten mid-dump simply appear
-// with their newer contents.
-func (t *Timeline) Dump() []Record {
-	out := make([]Record, 0, len(t.slots))
+// Dump returns the surviving records ordered by sequence number. It is
+// safe to call concurrently with Append; records overwritten mid-dump
+// simply appear with their newer contents.
+func (t *Timeline[T]) Dump() []T {
+	es := make([]*entry[T], 0, len(t.slots))
 	for i := range t.slots {
 		if p := t.slots[i].Load(); p != nil {
-			out = append(out, *p)
+			es = append(es, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	sort.Slice(es, func(i, j int) bool { return es[i].seq < es[j].seq })
+	out := make([]T, len(es))
+	for i, e := range es {
+		out[i] = e.v
+	}
 	return out
 }

@@ -2,24 +2,41 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
+// rec is a stand-in record: the ring is generic, and the root package
+// stores its runtime Event in it.
+type rec struct {
+	Seq   uint64
+	Kind  string
+	Wake  uint64
+	Items int
+}
+
 func TestTimelineAppendDump(t *testing.T) {
-	tl := NewTimeline(16)
-	fire := tl.Append(Record{Kind: KindTimerFire, Manager: 0, Slot: 3, Items: 2})
-	tl.Append(Record{Kind: KindDrain, Manager: 0, Slot: 3, Pair: 1, Wake: fire, Items: 5})
-	tl.Append(Record{Kind: KindDrain, Manager: 0, Slot: 3, Pair: 2, Wake: fire, Items: 7})
+	tl := NewTimeline[rec](16)
+	var seq uint64
+	add := func(r rec) uint64 {
+		seq++
+		r.Seq = seq
+		tl.Append(seq, r)
+		return seq
+	}
+	fire := add(rec{Kind: "timer-fire", Items: 2})
+	add(rec{Kind: "drain", Wake: fire, Items: 5})
+	add(rec{Kind: "drain", Wake: fire, Items: 7})
 	recs := tl.Dump()
 	if len(recs) != 3 {
 		t.Fatalf("dump len = %d, want 3", len(recs))
 	}
-	if recs[0].Kind != KindTimerFire {
+	if recs[0].Kind != "timer-fire" {
 		t.Fatalf("first record kind = %v, want timer-fire", recs[0].Kind)
 	}
 	latched := 0
 	for _, r := range recs[1:] {
-		if r.Kind == KindDrain && r.Wake == fire {
+		if r.Kind == "drain" && r.Wake == fire {
 			latched++
 		}
 	}
@@ -31,10 +48,10 @@ func TestTimelineAppendDump(t *testing.T) {
 // TestTimelineLossBound: appending far more than capacity keeps exactly
 // the most recent Cap records — the documented loss bound.
 func TestTimelineLossBound(t *testing.T) {
-	tl := NewTimeline(64)
+	tl := NewTimeline[rec](64)
 	const total = 1000
-	for i := 0; i < total; i++ {
-		tl.Append(Record{Kind: KindDrain, Items: i})
+	for i := 1; i <= total; i++ {
+		tl.Append(uint64(i), rec{Seq: uint64(i), Items: i})
 	}
 	recs := tl.Dump()
 	if len(recs) != tl.Cap() {
@@ -53,21 +70,23 @@ func TestTimelineLossBound(t *testing.T) {
 // ring bound, and Dump stays consistent while appends race (run under
 // -race in make verify).
 func TestTimelineConcurrent(t *testing.T) {
-	tl := NewTimeline(1024)
+	tl := NewTimeline[rec](1024)
 	const workers = 8
 	const per = 400 // workers*per > cap, so overwrite paths run too
+	var seq atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(id int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				tl.Append(Record{Kind: KindDrain, Manager: id, Items: i})
+				s := seq.Add(1)
+				tl.Append(s, rec{Seq: s, Items: i})
 				if i%64 == 0 {
 					tl.Dump()
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	if got := tl.Appended(); got != workers*per {
@@ -85,23 +104,6 @@ func TestTimelineConcurrent(t *testing.T) {
 		seen[r.Seq] = true
 		if i > 0 && recs[i-1].Seq >= r.Seq {
 			t.Fatalf("dump not ordered at %d", i)
-		}
-	}
-}
-
-func TestKindString(t *testing.T) {
-	for k, want := range map[Kind]string{
-		KindTimerFire:  "timer-fire",
-		KindForcedWake: "forced-wake",
-		KindDrain:      "drain",
-		KindMigrate:    "migrate",
-		KindQuarantine: "quarantine",
-		KindRecover:    "recover",
-		Kind(0):        "unknown",
-		Kind(99):       "unknown",
-	} {
-		if got := k.String(); got != want {
-			t.Fatalf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
 	}
 }

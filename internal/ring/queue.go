@@ -16,14 +16,6 @@ func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 // Push appends v.
 func (q *Queue[T]) Push(v T) { q.items = append(q.items, v) }
 
-// Peek returns the oldest item without removing it.
-func (q *Queue[T]) Peek() (v T, ok bool) {
-	if q.Len() == 0 {
-		return v, false
-	}
-	return q.items[q.head], true
-}
-
 // PopFront removes and returns the oldest item.
 func (q *Queue[T]) PopFront() (v T, ok bool) {
 	if q.Len() == 0 {

@@ -7,17 +7,11 @@ import (
 
 func TestQueueBasics(t *testing.T) {
 	var q Queue[int]
-	if _, ok := q.Peek(); ok {
-		t.Fatal("empty peek should fail")
-	}
 	if _, ok := q.PopFront(); ok {
 		t.Fatal("empty pop should fail")
 	}
 	q.Push(1)
 	q.Push(2)
-	if v, ok := q.Peek(); !ok || v != 1 {
-		t.Fatalf("Peek = %d,%v", v, ok)
-	}
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d", q.Len())
 	}

@@ -23,7 +23,7 @@ func (s *Server) registerDebug(mux *http.ServeMux) {
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
-// timelinez is the JSON shape of /debug/timeline: the surviving wakeup
+// timelinez is the JSON shape of /debug/timeline: the surviving runtime-event
 // records in sequence order plus the ring geometry, so a reader can
 // tell how much history the window covers and whether anything was
 // overwritten (appended > len(records)).

@@ -85,17 +85,13 @@ type Event struct {
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
-// Scheduled reports whether the event is still pending in the loop.
-func (e *Event) Scheduled() bool { return e != nil && e.index >= 0 }
-
 // Loop is a discrete-event simulation loop.
 //
 // The zero value is a usable loop starting at time 0.
 type Loop struct {
-	now   Time
-	seq   uint64
-	heap  []*Event
-	fired uint64
+	now  Time
+	seq  uint64
+	heap []*Event
 }
 
 // NewLoop returns an empty loop with the clock at zero.
@@ -104,12 +100,6 @@ func NewLoop() *Loop { return &Loop{} }
 // Now returns the current virtual time. During an event callback this is
 // the scheduled time of that event.
 func (l *Loop) Now() Time { return l.now }
-
-// Fired returns the number of events executed so far.
-func (l *Loop) Fired() uint64 { return l.fired }
-
-// Pending returns the number of events waiting in the queue.
-func (l *Loop) Pending() int { return len(l.heap) }
 
 // Schedule queues fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: a simulation that rewinds time is a logic error
@@ -146,21 +136,6 @@ func (l *Loop) Cancel(e *Event) bool {
 	return true
 }
 
-// Reschedule moves a pending event to a new time, or re-queues an event
-// that has already fired. It preserves the original callback.
-func (l *Loop) Reschedule(e *Event, at Time) {
-	if at < l.now {
-		panic(fmt.Sprintf("simtime: rescheduling event at %v before now %v", at, l.now))
-	}
-	if e.index >= 0 {
-		l.remove(e.index)
-	}
-	e.at = at
-	e.seq = l.seq
-	l.seq++
-	l.push(e)
-}
-
 // Step fires the single earliest pending event, advancing the clock to
 // its timestamp. It returns false if the queue is empty.
 func (l *Loop) Step() bool {
@@ -171,7 +146,6 @@ func (l *Loop) Step() bool {
 	l.remove(0)
 	e.index = -1
 	l.now = e.at
-	l.fired++
 	e.fn()
 	return true
 }
@@ -196,15 +170,6 @@ func (l *Loop) RunUntil(deadline Time) {
 
 // RunFor is RunUntil(Now()+d).
 func (l *Loop) RunFor(d Duration) { l.RunUntil(l.now.Add(d)) }
-
-// NextEventTime returns the timestamp of the earliest pending event and
-// whether one exists.
-func (l *Loop) NextEventTime() (Time, bool) {
-	if len(l.heap) == 0 {
-		return 0, false
-	}
-	return l.heap[0].at, true
-}
 
 // heap operations (manual to keep Event.index in sync without the
 // container/heap interface indirection on the hot path).

@@ -64,9 +64,6 @@ func TestScheduleOrdering(t *testing.T) {
 	if l.Now() != 30 {
 		t.Fatalf("Now = %v, want 30", l.Now())
 	}
-	if l.Fired() != 3 {
-		t.Fatalf("Fired = %d", l.Fired())
-	}
 }
 
 func TestSameTimeFIFO(t *testing.T) {
@@ -120,14 +117,8 @@ func TestCancel(t *testing.T) {
 	l := NewLoop()
 	fired := false
 	e := l.Schedule(10, func() { fired = true })
-	if !e.Scheduled() {
-		t.Fatal("event should be scheduled")
-	}
 	if !l.Cancel(e) {
 		t.Fatal("Cancel returned false for pending event")
-	}
-	if e.Scheduled() {
-		t.Fatal("event still scheduled after cancel")
 	}
 	if l.Cancel(e) {
 		t.Fatal("double cancel should return false")
@@ -167,23 +158,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	l := NewLoop()
-	var at Time
-	e := l.Schedule(10, func() { at = l.Now() })
-	l.Reschedule(e, 50)
-	l.Run()
-	if at != 50 {
-		t.Fatalf("fired at %v, want 50", at)
-	}
-	// Re-queue an already-fired event.
-	l.Reschedule(e, 80)
-	l.Run()
-	if at != 80 {
-		t.Fatalf("refired at %v, want 80", at)
-	}
-}
-
 func TestAfter(t *testing.T) {
 	l := NewLoop()
 	var at Time
@@ -209,9 +183,6 @@ func TestRunUntil(t *testing.T) {
 	if l.Now() != 500 {
 		t.Fatalf("Now = %v, want 500", l.Now())
 	}
-	if l.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", l.Pending())
-	}
 	l.RunFor(500)
 	if count != 10 || l.Now() != 1000 {
 		t.Fatalf("count=%d now=%v", count, l.Now())
@@ -223,17 +194,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	l.RunUntil(12345)
 	if l.Now() != 12345 {
 		t.Fatalf("Now = %v", l.Now())
-	}
-}
-
-func TestNextEventTime(t *testing.T) {
-	l := NewLoop()
-	if _, ok := l.NextEventTime(); ok {
-		t.Fatal("empty loop should have no next event")
-	}
-	l.Schedule(42, func() {})
-	if at, ok := l.NextEventTime(); !ok || at != 42 {
-		t.Fatalf("NextEventTime = %v, %v", at, ok)
 	}
 }
 

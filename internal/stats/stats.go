@@ -48,20 +48,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the sample standard deviation.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest element; 0 for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element; 0 for empty input.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -171,41 +157,6 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, errors.New("stats: zero variance")
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Linear holds the result of an ordinary least squares fit y = a + b·x.
-type Linear struct {
-	Intercept float64
-	Slope     float64
-	R2        float64
-}
-
-// FitLinear performs ordinary least squares on the paired samples.
-func FitLinear(xs, ys []float64) (Linear, error) {
-	if len(xs) != len(ys) {
-		return Linear{}, errors.New("stats: series length mismatch")
-	}
-	n := len(xs)
-	if n < 2 {
-		return Linear{}, ErrInsufficientData
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := 0; i < n; i++ {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return Linear{}, errors.New("stats: x has zero variance")
-	}
-	b := sxy / sxx
-	fit := Linear{Intercept: my - b*mx, Slope: b}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
-	}
-	return fit, nil
 }
 
 // CorrelationSignificant reports whether a correlation r over n pairs is

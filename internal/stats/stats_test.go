@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -28,15 +29,15 @@ func TestEmptyAndSingleton(t *testing.T) {
 	if Variance([]float64{3}) != 0 {
 		t.Fatal("singleton variance should be 0")
 	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty min/max should be 0")
+	if Max(nil) != 0 {
+		t.Fatal("empty max should be 0")
 	}
 }
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("Min=%v Max=%v", Min(xs), Max(xs))
+	if Max(xs) != 7 {
+		t.Fatalf("Max=%v", Max(xs))
 	}
 }
 
@@ -130,30 +131,6 @@ func TestPearsonUncorrelated(t *testing.T) {
 	}
 }
 
-func TestFitLinear(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 1 + 2x
-	fit, err := FitLinear(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, "Intercept", fit.Intercept, 1, 1e-12)
-	approx(t, "Slope", fit.Slope, 2, 1e-12)
-	approx(t, "R2", fit.R2, 1, 1e-12)
-}
-
-func TestFitLinearErrors(t *testing.T) {
-	if _, err := FitLinear([]float64{1}, []float64{2}); err == nil {
-		t.Fatal("want error for single point")
-	}
-	if _, err := FitLinear([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Fatal("want error for zero x variance")
-	}
-	if _, err := FitLinear([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
-		t.Fatal("want length mismatch error")
-	}
-}
-
 func TestCorrelationSignificant(t *testing.T) {
 	// Strong correlation over few points: the paper's 5-implementation
 	// +74% correlation over 15 samples is significant at 95%.
@@ -212,7 +189,7 @@ func TestPropertyPearsonInvariance(t *testing.T) {
 	}
 }
 
-// Property: the sample mean lies within [Min, Max].
+// Property: the sample mean lies within [min, Max].
 func TestPropertyMeanBounded(t *testing.T) {
 	f := func(xs []float64) bool {
 		if len(xs) == 0 {
@@ -224,7 +201,7 @@ func TestPropertyMeanBounded(t *testing.T) {
 			}
 		}
 		m := Mean(xs)
-		return m >= Min(xs)-1e-6 && m <= Max(xs)+1e-6
+		return m >= slices.Min(xs)-1e-6 && m <= Max(xs)+1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/simtime"
 )
@@ -158,19 +157,69 @@ func (st *pairState) runOnOwner(f func(m *manager)) bool {
 	}
 }
 
-// countInvocation credits one handler invocation to the pair's and the
-// runtime's counters (item movement is counted inside drainFault).
-func (st *pairState) countInvocation(rt *Runtime) {
-	rt.stats.invocations.Add(1)
-	st.invocations.Add(1)
+// drainCause is why a pair is drained, which decides how the drain is
+// accounted.
+type drainCause uint8
+
+const (
+	// causeRide: the drain rides other work, a half-open probe or a
+	// migration quiesce.
+	causeRide drainCause = iota
+	// causeFinal: a close or shutdown drain, where a failed batch is
+	// dropped instead of retained.
+	causeFinal
+	// causeTimer, causeForced: the manager woke for this pair, on its
+	// slot timer or on an overflow.
+	causeTimer
+	causeForced
+)
+
+// drain runs one fault-isolated drain and accounts it: the one place a
+// drain becomes an invocation and an EventDrain. wake is the Seq of the
+// timer fire or forced wake that caused it. A drain the manager woke
+// for counts even when it found nothing, because the wakeup was paid;
+// any other drain counts only when the handler ran.
+func (st *pairState) drain(rt *Runtime, cause drainCause, wake uint64) drainReport {
+	rep := st.drainFault(cause == causeFinal)
+	if rep.attempted > 0 || cause >= causeTimer {
+		rt.stats.invocations.Add(1)
+		st.invocations.Add(1)
+		rt.emit(Event{
+			Kind:      EventDrain,
+			Pair:      st.id,
+			Manager:   st.mgr.Load().id,
+			Wake:      wake,
+			Items:     rep.delivered,
+			Scheduled: cause == causeTimer,
+		})
+	}
+	return rep
 }
 
-// countFinal credits a shutdown-path drain: invocations only fire when
-// the handler actually ran.
-func (st *pairState) countFinal(rt *Runtime, rep drainReport) {
-	if rep.attempted > 0 {
-		st.countInvocation(rt)
+// breaker applies one drain outcome to the pair's closed circuit
+// breaker: a clean invocation resets the failure count, a failed one
+// adds to it, and the Kth consecutive failure opens the breaker, sets
+// the first probe time and emits EventQuarantine. It reports whether
+// the breaker opened.
+func (st *pairState) breaker(rt *Runtime, rep drainReport, now simtime.Time) bool {
+	if !rep.failed {
+		if rep.attempted > 0 {
+			st.consecFails = 0
+			st.degraded.Store(false)
+		}
+		return false
 	}
+	st.consecFails++
+	if st.breakerK <= 0 || st.consecFails < st.breakerK {
+		return false
+	}
+	st.quarantined.Store(true)
+	st.backoff = st.baseBackoff
+	st.probeAt.Store(int64(now.Add(st.backoff)))
+	st.quarantines.Add(1)
+	rt.stats.quarantines.Add(1)
+	rt.emit(Event{Kind: EventQuarantine, Pair: st.id, Manager: st.mgr.Load().id})
+	return true
 }
 
 // probeDue reports whether the next half-open probe time has arrived.
@@ -332,16 +381,8 @@ func (m *manager) loop() {
 			if !p.closed.Load() {
 				m.rt.stats.forcedWakes.Add(1)
 				m.forcedWakes.Add(1)
-				now := m.rt.now()
-				wake := m.rt.timelineAppend(obs.Record{
-					Kind:    obs.KindForcedWake,
-					Nanos:   int64(now),
-					Manager: m.id,
-					Slot:    m.rt.planner.Track.Index(now),
-					Pair:    uint64(p.id),
-					Items:   p.pending(),
-				})
-				m.drainAndPlan(p, now, false, wake)
+				wake := m.rt.emit(Event{Kind: EventForcedWake, Pair: p.id, Manager: m.id, Items: 1})
+				m.drainAndPlan(p, m.rt.now(), causeForced, wake)
 			}
 		case <-timerC:
 			m.onTimer()
@@ -372,20 +413,14 @@ func (m *manager) onTimer() {
 	}
 	m.rt.stats.timerWakes.Add(1)
 	m.timerWakes.Add(1)
-	wake := m.rt.timelineAppend(obs.Record{
-		Kind:    obs.KindTimerFire,
-		Nanos:   int64(now),
-		Manager: m.id,
-		Slot:    nowSlot,
-		Items:   len(due),
-	})
+	wake := m.rt.emit(Event{Kind: EventTimerFire, Manager: m.id, Items: len(due)})
 	var t0 int64
 	o := m.rt.obs
 	if o != nil && o.hist {
 		t0 = o.clock.Precise()
 	}
 	for _, p := range due {
-		m.drainAndPlan(p, now, true, wake)
+		m.drainAndPlan(p, now, causeTimer, wake)
 	}
 	if o != nil && o.hist {
 		o.mgrDrain[m.id].Record(o.clock.Precise() - t0)
@@ -403,13 +438,13 @@ func (m *manager) onKick(p *pairState) {
 
 // drainAndPlan runs one consumer invocation: drain through the handler
 // (with fault isolation), settle the breaker, and reserve the next
-// slot. scheduled distinguishes slot-timer drains from overflow-forced
-// ones; wake is the timeline sequence of the fire that triggered this
-// drain (0 when the timeline is off). A quarantined pair never drains
-// inline here: once its probe time arrives the half-open probe runs on
-// its own goroutine, so a handler that is still broken (or still
-// stalling) cannot re-block the other pairs sharing this manager.
-func (m *manager) drainAndPlan(p *pairState, now simtime.Time, scheduled bool, wake uint64) {
+// slot. cause is causeTimer or causeForced; wake is the Seq of the
+// event that woke the manager (0 with no event sink). A quarantined
+// pair never drains inline here: once its probe time arrives the
+// half-open probe runs on its own goroutine, so a handler that is still
+// broken (or still stalling) cannot re-block the other pairs sharing
+// this manager.
+func (m *manager) drainAndPlan(p *pairState, now simtime.Time, cause drainCause, wake uint64) {
 	m.deregister(p)
 	if p.quarantined.Load() {
 		if !p.probeDue(now) {
@@ -428,16 +463,7 @@ func (m *manager) drainAndPlan(p *pairState, now simtime.Time, scheduled bool, w
 	}
 	var rep drainReport
 	pprof.Do(m.labelCtx, pprof.Labels("pbpl_pair", strconv.Itoa(p.id)), func(context.Context) {
-		rep = p.drainFault(false)
-	})
-	m.rt.timelineAppend(obs.Record{
-		Kind:    obs.KindDrain,
-		Nanos:   int64(m.rt.now()),
-		Manager: m.id,
-		Slot:    m.rt.planner.Track.Index(now),
-		Pair:    uint64(p.id),
-		Wake:    wake,
-		Items:   rep.delivered,
+		rep = p.drain(m.rt, cause, wake)
 	})
 	if rep.timedOut {
 		// The handler overran its deadline inline on this goroutine.
@@ -445,10 +471,6 @@ func (m *manager) drainAndPlan(p *pairState, now simtime.Time, scheduled bool, w
 		// stolen time instead of pretending the drain was punctual.
 		now = m.rt.now()
 	}
-	if cb := m.rt.opts.observer; cb != nil {
-		cb(Event{Kind: EventDrain, Pair: p.id, At: time.Duration(now), Items: rep.delivered, Scheduled: scheduled})
-	}
-	p.countInvocation(m.rt)
 	if dt := now.Sub(p.lastDrain); dt > 0 {
 		p.pred.Observe(float64(rep.dequeued) / dt.Seconds())
 	}
@@ -485,53 +507,21 @@ func (m *manager) settle(p *pairState, rep drainReport, now simtime.Time) {
 			p.backoff = 0
 			p.degraded.Store(false)
 			m.rt.stats.recoveries.Add(1)
-			if cb := m.rt.opts.observer; cb != nil {
-				cb(Event{Kind: EventRecover, Pair: p.id, At: time.Duration(now)})
-			}
-			m.rt.timelineAppend(obs.Record{
-				Kind:    obs.KindRecover,
-				Nanos:   int64(now),
-				Manager: m.id,
-				Slot:    m.rt.planner.Track.Index(now),
-				Pair:    uint64(p.id),
-			})
+			m.rt.emit(Event{Kind: EventRecover, Pair: p.id, Manager: m.id})
 			m.plan(p, now)
 		}
 		return
 	}
-	if rep.failed {
-		p.consecFails++
-		if p.breakerK > 0 && p.consecFails >= p.breakerK {
-			p.quarantined.Store(true)
-			p.backoff = p.baseBackoff
-			p.quarantines.Add(1)
-			m.rt.stats.quarantines.Add(1)
-			if cb := m.rt.opts.observer; cb != nil {
-				cb(Event{Kind: EventQuarantine, Pair: p.id, At: time.Duration(now)})
-			}
-			m.rt.timelineAppend(obs.Record{
-				Kind:    obs.KindQuarantine,
-				Nanos:   int64(now),
-				Manager: m.id,
-				Slot:    m.rt.planner.Track.Index(now),
-				Pair:    uint64(p.id),
-			})
-			m.scheduleProbe(p, now)
-			return
-		}
-		if p.retained.Load() > 0 {
-			// Redeliver the failed batch at the next slot after one
-			// slot's grace.
-			p.armed.Store(true)
-			m.reserve(p, m.slotAfter(now.Add(p.baseBackoff)))
-			return
-		}
-		m.plan(p, now)
+	if p.breaker(m.rt, rep, now) {
+		m.scheduleProbe(p, now)
 		return
 	}
-	if rep.attempted > 0 {
-		p.consecFails = 0
-		p.degraded.Store(false)
+	if rep.failed && p.retained.Load() > 0 {
+		// Redeliver the failed batch at the next slot after one slot's
+		// grace.
+		p.armed.Store(true)
+		m.reserve(p, m.slotAfter(now.Add(p.baseBackoff)))
+		return
 	}
 	m.plan(p, now)
 }
@@ -547,14 +537,7 @@ func (m *manager) scheduleProbe(p *pairState, now simtime.Time) {
 // probe runs one half-open invocation of a quarantined pair on its own
 // goroutine and settles the outcome back on the owning manager.
 func (m *manager) probe(p *pairState) {
-	rep := p.drainFault(false)
-	now := m.rt.now()
-	if rep.attempted > 0 {
-		p.countInvocation(m.rt)
-		if cb := m.rt.opts.observer; cb != nil {
-			cb(Event{Kind: EventDrain, Pair: p.id, At: time.Duration(now), Items: rep.delivered})
-		}
-	}
+	rep := p.drain(m.rt, causeRide, 0)
 	ok := p.runOnOwner(func(cur *manager) {
 		p.probing.Store(false)
 		cur.settle(p, rep, cur.rt.now())
@@ -608,9 +591,7 @@ func (m *manager) plan(p *pairState, now simtime.Time) {
 		// Going idle: allow producers to re-arm us, then re-check for
 		// an item that raced in between the pending() read and the
 		// flag flip.
-		if cb := m.rt.opts.observer; cb != nil {
-			cb(Event{Kind: EventIdle, Pair: p.id, At: time.Duration(now)})
-		}
+		m.rt.emit(Event{Kind: EventIdle, Pair: p.id, Manager: m.id})
 		p.armed.Store(false)
 		if p.pending() > 0 && !p.armed.Swap(true) {
 			m.plan(p, now)
@@ -618,9 +599,7 @@ func (m *manager) plan(p *pairState, now simtime.Time) {
 		return
 	}
 	p.armed.Store(true)
-	if cb := m.rt.opts.observer; cb != nil {
-		cb(Event{Kind: EventReserve, Pair: p.id, At: time.Duration(now), Slot: plan.Slot})
-	}
+	m.rt.emit(Event{Kind: EventReserve, Pair: p.id, Manager: m.id, Slot: plan.Slot})
 	m.reserve(p, plan.Slot)
 }
 
@@ -681,13 +660,7 @@ func (m *manager) finalDrain() {
 	}
 	m.res = map[int64][]*pairState{}
 	for p := range seen {
-		rep := p.drainFault(true)
-		if rep.attempted > 0 {
-			p.countInvocation(m.rt)
-			if cb := m.rt.opts.observer; cb != nil {
-				cb(Event{Kind: EventDrain, Pair: p.id, At: time.Duration(m.rt.now()), Items: rep.delivered})
-			}
-		}
+		p.drain(m.rt, causeFinal, 0)
 	}
 }
 

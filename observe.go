@@ -29,8 +29,8 @@ const (
 // is nil and every hot-path hook is a single pointer check.
 type obsState struct {
 	hist     bool
-	clock    *obs.Clock    // coarse producer clock; nil unless hist
-	timeline *obs.Timeline // nil unless WithTimeline
+	clock    *obs.Clock           // coarse producer clock; nil unless hist
+	timeline *obs.Timeline[Event] // nil unless WithTimeline
 	mgrDrain []*obs.Histogram
 
 	// retiredWait / retiredDone accumulate closed pairs' histograms so
@@ -55,7 +55,7 @@ type pairObs struct {
 func newObsState(o options, start time.Time) *obsState {
 	s := &obsState{hist: o.histograms}
 	if o.timelineCap > 0 {
-		s.timeline = obs.NewTimeline(o.timelineCap)
+		s.timeline = obs.NewTimeline[Event](o.timelineCap)
 	}
 	if o.histograms {
 		tick := o.slotSize / 4
@@ -235,12 +235,12 @@ func (rt *Runtime) LatencyTotals() (wait, done LatencyDist, ok bool) {
 	return distOf(w), distOf(d), true
 }
 
-// TimelineRecord is one wakeup-timeline entry as dumped by
-// Runtime.TimelineDump and served by pcd's /debug/timeline — the live
-// analogue of one mark on the paper's Fig. 6 timelines. A drain
-// record's Wake equals the Seq of the timer-fire or forced-wake that
-// triggered it, so several drains sharing one Wake are the latching
-// payoff made visible.
+// TimelineRecord is one timeline entry as dumped by
+// Runtime.TimelineDump and served by pcd's /debug/timeline: the JSON
+// shape of one Event, and the live analogue of one mark on the paper's
+// Fig. 6 timelines. A drain record's Wake equals the Seq of the
+// timer-fire or forced-wake that triggered it, so several drains
+// sharing one Wake are the latching payoff made visible.
 type TimelineRecord struct {
 	Seq     uint64 `json:"seq"`
 	Kind    string `json:"kind"`
@@ -252,34 +252,33 @@ type TimelineRecord struct {
 	Items   int    `json:"items,omitempty"`
 }
 
-// TimelineDump returns the surviving wakeup-timeline records in order.
-// The ring keeps the most recent records up to the WithTimeline
-// capacity; older ones are overwritten (the documented loss bound).
-// Nil when WithTimeline is off.
+// TimelineDump returns the surviving timeline records in order. The
+// ring keeps the most recent records up to the WithTimeline capacity;
+// older ones are overwritten (the documented loss bound). Nil when
+// WithTimeline is off.
 func (rt *Runtime) TimelineDump() []TimelineRecord {
 	if rt.obs == nil || rt.obs.timeline == nil {
 		return nil
 	}
-	recs := rt.obs.timeline.Dump()
-	out := make([]TimelineRecord, len(recs))
-	for i, r := range recs {
-		out[i] = timelineRecordOf(r)
-	}
-	return out
+	return timelineRecords(rt.obs.timeline.Dump())
 }
 
-// timelineRecordOf converts one ring record to its JSON shape.
-func timelineRecordOf(r obs.Record) TimelineRecord {
-	return TimelineRecord{
-		Seq:     r.Seq,
-		Kind:    r.Kind.String(),
-		Nanos:   r.Nanos,
-		Manager: r.Manager,
-		Slot:    r.Slot,
-		Pair:    int(r.Pair),
-		Wake:    r.Wake,
-		Items:   r.Items,
+// timelineRecords converts dumped events to their JSON shape.
+func timelineRecords(events []Event) []TimelineRecord {
+	out := make([]TimelineRecord, len(events))
+	for i, e := range events {
+		out[i] = TimelineRecord{
+			Seq:     e.Seq,
+			Kind:    e.Kind.String(),
+			Nanos:   int64(e.At),
+			Manager: e.Manager,
+			Slot:    e.Slot,
+			Pair:    e.Pair,
+			Wake:    e.Wake,
+			Items:   e.Items,
+		}
 	}
+	return out
 }
 
 // TimelineCap returns the timeline ring capacity (0 when WithTimeline
@@ -289,13 +288,4 @@ func (rt *Runtime) TimelineCap() int {
 		return 0
 	}
 	return rt.obs.timeline.Cap()
-}
-
-// timelineAppend records one timeline event if the ring is enabled,
-// returning its sequence number (0 when disabled).
-func (rt *Runtime) timelineAppend(r obs.Record) uint64 {
-	if rt.obs == nil || rt.obs.timeline == nil {
-		return 0
-	}
-	return rt.obs.timeline.Append(r)
 }

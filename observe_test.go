@@ -299,8 +299,10 @@ func TestTimelineStorm(t *testing.T) {
 	}
 }
 
-// TestTimelineEventKinds: every instrumented transition shows up in the
-// dump — fires, drains, forced wakes, quarantine, recovery, migration.
+// TestTimelineEventKinds: the transitions a breaker storm exercises
+// show up in the dump — pair opens, fires, drains, forced wakes,
+// redeliveries, drops, quarantine and recovery. (TestEventViewsAgree
+// covers every kind.)
 func TestTimelineEventKinds(t *testing.T) {
 	rt, err := New(
 		WithManagers(2),
@@ -324,7 +326,7 @@ func TestTimelineEventKinds(t *testing.T) {
 		return nil
 	}),
 
-		Breaker(1), Redelivery(0))
+		Breaker(1), Redelivery(1))
 
 	if err != nil {
 		t.Fatal(err)
@@ -333,6 +335,10 @@ func TestTimelineEventKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Kinds accumulate across dumps: the ring is small enough that the
+	// opens at its start can be overwritten before the storm is done.
+	kinds := map[string]int{}
+	var last uint64
 	deadline := time.Now().Add(10 * time.Second)
 	recovered := false
 	for time.Now().Before(deadline) {
@@ -341,22 +347,23 @@ func TestTimelineEventKinds(t *testing.T) {
 			_ = steady.Put(i) // overflows the 4-slot buffer → forced wakes
 		}
 		time.Sleep(time.Millisecond)
-		if !recovered && flakyPair.Quarantined() {
+		for _, r := range rt.TimelineDump() {
+			if r.Seq > last {
+				kinds[r.Kind]++
+				last = r.Seq
+			}
+		}
+		// Heal the handler only once its retained batch has failed
+		// redelivery and been dropped.
+		if !recovered && flakyPair.Quarantined() && kinds["drop"] > 0 {
 			fail.Store(false)
 			recovered = true
 		}
-		kinds := map[string]int{}
-		for _, r := range rt.TimelineDump() {
-			kinds[r.Kind]++
-		}
 		if kinds["timer-fire"] > 0 && kinds["drain"] > 0 && kinds["forced-wake"] > 0 &&
-			kinds["quarantine"] > 0 && kinds["recover"] > 0 {
+			kinds["quarantine"] > 0 && kinds["recover"] > 0 && kinds["redeliver"] > 0 &&
+			kinds["drop"] > 0 && kinds["pair-open"] > 0 {
 			return
 		}
-	}
-	kinds := map[string]int{}
-	for _, r := range rt.TimelineDump() {
-		kinds[r.Kind]++
 	}
 	t.Fatalf("timeline missing event kinds after storm: %v", kinds)
 }

@@ -200,11 +200,12 @@ func WithConsolidation(cfg ConsolidationConfig) Option {
 // histogram's resolution bound.
 func WithHistograms() Option { return func(o *options) { o.histograms = true } }
 
-// WithTimeline enables the bounded in-memory wakeup timeline — timer
-// fires, forced wakes, latched drains, migrations and breaker
-// transitions, dumpable via Runtime.TimelineDump (pcd serves it at
-// /debug/timeline) as the live analogue of the paper's Fig. 6. The
-// ring keeps the most recent `capacity` records (rounded up to a
+// WithTimeline enables the bounded in-memory event timeline: every
+// runtime Event of every kind, the same stream a WithObserver callback
+// sees, dumpable via Runtime.TimelineDump (pcd serves it at
+// /debug/timeline). Timer fires, forced wakes and the drains that carry
+// their Seq as Wake make it the live analogue of the paper's Fig. 6.
+// The ring keeps the most recent `capacity` records (rounded up to a
 // power of two). capacity must be positive: New rejects ≤ 0 with an
 // error (TimelineDefaultCap is a reasonable choice). Observability
 // concern.

@@ -54,11 +54,9 @@ type Pair[T any] struct {
 // pair to its Runtime.PairSnapshots entry and observer events.
 func (p *Pair[T]) ID() int { return p.st.id }
 
-// event emits an observer event for this pair.
+// event emits a runtime event for this pair.
 func (p *Pair[T]) event(kind EventKind, items int) {
-	if obs := p.rt.opts.observer; obs != nil {
-		obs(Event{Kind: kind, Pair: p.st.id, At: time.Duration(p.rt.now()), Items: items})
-	}
+	p.rt.emit(Event{Kind: kind, Pair: p.st.id, Manager: p.st.mgr.Load().id, Items: items})
 }
 
 // drainFault runs one fault-isolated consumer invocation: redeliver a
@@ -264,13 +262,12 @@ func (p *Pair[T]) Put(v T) error {
 	}
 	p.unlockProducers()
 	if ok {
-		p.rt.stats.itemsIn.Add(1)
 		if p.rt.closed.Load() {
 			// Runtime.Close raced in after the entry check, so its
 			// final sweep may already have run: drain on the caller
 			// rather than strand the item. The item was accepted and
 			// handled, so report success.
-			p.st.countFinal(p.rt, p.drainFault(true))
+			p.st.drain(p.rt, causeFinal, 0)
 			return nil
 		}
 		p.kickIfUnarmed()
@@ -314,10 +311,9 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 	}
 	p.unlockProducers()
 	if n > 0 {
-		p.rt.stats.itemsIn.Add(uint64(n))
 		if p.rt.closed.Load() {
 			// Same close race as Put: drain on the caller.
-			p.st.countFinal(p.rt, p.drainFault(true))
+			p.st.drain(p.rt, causeFinal, 0)
 		} else {
 			p.kickIfUnarmed()
 		}
@@ -426,20 +422,14 @@ func (p *Pair[T]) Close() error {
 	}
 	ran := p.st.runOnOwner(func(m *manager) {
 		m.deregister(p.st)
-		rep := p.drainFault(true)
-		if rep.attempted > 0 {
-			p.st.countInvocation(p.rt)
-			p.event(EventDrain, rep.delivered)
-		}
+		p.st.drain(p.rt, causeFinal, 0)
 	})
 	if !ran {
 		// Manager already stopped: it drained (or will drain) every
 		// pair it knew in finalDrain; catch only what is left here.
-		p.st.countFinal(p.rt, p.drainFault(true))
+		p.st.drain(p.rt, causeFinal, 0)
 	}
 	p.rt.removePair(p.st.id)
-	if obs := p.rt.opts.observer; obs != nil {
-		obs(Event{Kind: EventPairClose, Pair: p.st.id, At: time.Duration(p.rt.now())})
-	}
+	p.event(EventPairClose, 0)
 	return nil
 }

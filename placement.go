@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/place"
 )
 
@@ -256,13 +255,7 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 			// Quarantined pairs move without a quiesce drain: running a
 			// known-broken handler inline on the source would re-block
 			// it, and the retained batch travels with the pair anyway.
-			rep := st.drainFault(false)
-			if rep.attempted > 0 {
-				st.countInvocation(rt)
-				if cb := rt.opts.observer; cb != nil {
-					cb(Event{Kind: EventDrain, Pair: st.id, At: time.Duration(now), Items: rep.delivered})
-				}
-			}
+			rep := st.drain(rt, causeRide, 0)
 			if rep.dequeued > 0 {
 				if dt := now.Sub(st.lastDrain); dt > 0 {
 					st.pred.Observe(float64(rep.dequeued) / dt.Seconds())
@@ -273,22 +266,7 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 			// Breaker bookkeeping only — no reservation may land on the
 			// source; the hand-off kick makes the target schedule the
 			// probe or redelivery slot.
-			if rep.failed {
-				st.consecFails++
-				if st.breakerK > 0 && st.consecFails >= st.breakerK {
-					st.quarantined.Store(true)
-					st.backoff = st.baseBackoff
-					st.probeAt.Store(int64(now.Add(st.backoff)))
-					st.quarantines.Add(1)
-					rt.stats.quarantines.Add(1)
-					if cb := rt.opts.observer; cb != nil {
-						cb(Event{Kind: EventQuarantine, Pair: st.id, At: time.Duration(now)})
-					}
-				}
-			} else if rep.attempted > 0 {
-				st.consecFails = 0
-				st.degraded.Store(false)
-			}
+			st.breaker(rt, rep, now)
 		}
 		st.mgr.Store(to)
 		moved = true
@@ -297,17 +275,7 @@ func (rt *Runtime) migrate(st *pairState, to *manager) bool {
 		return false
 	}
 	rt.stats.migrations.Add(1)
-	now := rt.now()
-	if cb := rt.opts.observer; cb != nil {
-		cb(Event{Kind: EventMigrate, Pair: st.id, At: time.Duration(now), Manager: to.id})
-	}
-	rt.timelineAppend(obs.Record{
-		Kind:    obs.KindMigrate,
-		Nanos:   int64(now),
-		Manager: to.id,
-		Slot:    rt.planner.Track.Index(now),
-		Pair:    uint64(st.id),
-	})
+	rt.emit(Event{Kind: EventMigrate, Pair: st.id, Manager: to.id})
 	select {
 	case to.kick <- st:
 	case <-to.done:

@@ -64,7 +64,6 @@ type counters struct {
 	timerWakes      atomic.Uint64
 	forcedWakes     atomic.Uint64
 	invocations     atomic.Uint64
-	itemsIn         atomic.Uint64
 	itemsOut        atomic.Uint64
 	overflows       atomic.Uint64
 	handlerPanics   atomic.Uint64
@@ -79,12 +78,13 @@ type counters struct {
 	powerThrottles  atomic.Uint64
 }
 
+// snapshot loads every counter except ItemsIn, which Runtime.Stats
+// reads afterwards from the pairs' queues.
 func (c *counters) snapshot() Stats {
 	return Stats{
 		TimerWakes:      c.timerWakes.Load(),
 		ForcedWakes:     c.forcedWakes.Load(),
 		Invocations:     c.invocations.Load(),
-		ItemsIn:         c.itemsIn.Load(),
 		ItemsOut:        c.itemsOut.Load(),
 		Overflows:       c.overflows.Load(),
 		HandlerPanics:   c.handlerPanics.Load(),
@@ -112,6 +112,11 @@ type Runtime struct {
 	stats    counters
 	obs      *obsState // nil unless WithHistograms/WithTimeline
 
+	// emitting is true when an event sink (WithObserver or WithTimeline)
+	// is configured; eventSeq numbers the events emit hands them.
+	emitting bool
+	eventSeq atomic.Uint64
+
 	poolMu sync.Mutex
 	pool   *buffer.Pool
 
@@ -119,6 +124,7 @@ type Runtime struct {
 	nextPair  int
 	openPairs int
 	pairs     map[int]*pairState
+	retiredIn uint64 // items accepted by pairs already removed
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -158,6 +164,7 @@ func New(opts ...Option) (*Runtime, error) {
 	if o.histograms || o.timelineCap > 0 {
 		rt.obs = newObsState(o, rt.start)
 	}
+	rt.emitting = o.observer != nil || o.timelineCap > 0
 	for i := 0; i < o.managers; i++ {
 		rt.managers = append(rt.managers, newManager(rt, i))
 	}
@@ -206,8 +213,20 @@ func (rt *Runtime) wallAt(t simtime.Time) time.Time {
 	return rt.start.Add(time.Duration(t))
 }
 
-// Stats returns a snapshot of the runtime counters.
-func (rt *Runtime) Stats() Stats { return rt.stats.snapshot() }
+// Stats returns a snapshot of the runtime counters. ItemsIn follows
+// the rule of PairStats: it sums the queues' own published counts and is
+// read after the items that left, so a snapshot taken mid-flight never
+// shows ItemsOut + ItemsDropped + HandedOff above ItemsIn.
+func (rt *Runtime) Stats() Stats {
+	s := rt.stats.snapshot()
+	rt.pairMu.Lock()
+	s.ItemsIn = rt.retiredIn
+	for _, st := range rt.pairs {
+		s.ItemsIn += st.pushed()
+	}
+	rt.pairMu.Unlock()
+	return s
+}
 
 // PairSnapshot is one open pair's identity and counters as captured by
 // Runtime.PairSnapshots.
@@ -296,7 +315,7 @@ func (rt *Runtime) Close() error {
 	}
 	rt.pairMu.Unlock()
 	for _, st := range states {
-		st.countFinal(rt, st.drainFault(true))
+		st.drain(rt, causeFinal, 0)
 	}
 	if rt.obs != nil && rt.obs.clock != nil {
 		rt.obs.clock.Stop()
@@ -342,12 +361,15 @@ func (rt *Runtime) trackPair(st *pairState) {
 }
 
 // removePair releases a pair's pool membership. A closing pair's
-// histograms fold into the runtime's retired accumulators so
-// LatencyTotals keeps covering it.
+// accepted-item count and histograms fold into the runtime's retired
+// accumulators so Stats and LatencyTotals keep covering it.
 func (rt *Runtime) removePair(id int) {
 	rt.pairMu.Lock()
 	rt.openPairs--
 	st := rt.pairs[id]
+	if st != nil {
+		rt.retiredIn += st.pushed()
+	}
 	delete(rt.pairs, id)
 	rt.pairMu.Unlock()
 	if st != nil && st.obs != nil && rt.obs != nil && rt.obs.hist {

@@ -96,6 +96,93 @@ func TestPairSnapshotsChurn(t *testing.T) {
 	wg.Wait()
 }
 
+// TestStatsSnapshotsChurn is TestPairSnapshotsChurn's runtime-wide
+// twin: while producers feed small-buffered pairs (Put and PutBatch, in
+// both producer modes, so forced drains run constantly) and other pairs
+// churn through open, hand-off and close, every Stats snapshot must
+// show no more items out than in. Put publishes an item before any
+// drain can count it out, so only a snapshot that reads ItemsIn ahead
+// of the outs, or counts an item in after publishing it, can break
+// ItemsOut + ItemsDropped + HandedOff <= ItemsIn.
+func TestStatsSnapshotsChurn(t *testing.T) {
+	rt, err := New(
+		WithSlotSize(time.Millisecond),
+		WithMaxLatency(10*time.Millisecond),
+		WithBuffer(8),
+		WithManagers(2),
+		WithMaxPairs(32),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		var opts []PairOption
+		if g%2 == 1 {
+			opts = append(opts, ConcurrentProducers())
+		}
+		p, err := Open(rt, Batch(func([]int) {}), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			batch := []int{1, 2, 3, 4, 5}
+			for v := 0; !stop.Load(); v++ {
+				if g < 2 {
+					_ = p.Put(v)
+				} else {
+					_, _ = p.PutBatch(batch)
+				}
+			}
+		}()
+	}
+	// Churners: open, fill, then close or hand off.
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; !stop.Load(); i++ {
+				p, err := Open(rt, Batch(func([]int) {}))
+				if err != nil {
+					time.Sleep(50 * time.Microsecond)
+					continue
+				}
+				for v := 0; v < 16; v++ {
+					_ = p.Put(v)
+				}
+				if i%2 == 0 {
+					_ = p.Close()
+				} else {
+					_, _ = p.Handoff()
+				}
+			}
+		}()
+	}
+
+	snapshots := 0
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		s := rt.Stats()
+		if out := s.ItemsOut + s.ItemsDropped + s.HandedOff; out > s.ItemsIn {
+			stop.Store(true)
+			wg.Wait()
+			t.Fatalf("snapshot %d: out %d + dropped %d + handed off %d = %d > in %d",
+				snapshots, s.ItemsOut, s.ItemsDropped, s.HandedOff, out, s.ItemsIn)
+		}
+		snapshots++
+	}
+	stop.Store(true)
+	wg.Wait()
+	if snapshots < 100 {
+		t.Fatalf("only %d snapshots, want >= 100", snapshots)
+	}
+}
+
 // TestRequestQuotaInvariantUnderResize drives the elastic buffer pool
 // from four manager goroutines at once — pairs with very different
 // rates force constant up/down renegotiation — while an auditor samples
