@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race verify chaos chaos-e2e lint bench fuzz cluster-smoke experiments figures examples clean
+.PHONY: all build test race verify perfbench-check chaos chaos-e2e lint bench fuzz cluster-smoke experiments figures examples clean
 
 all: build test
 
@@ -28,6 +28,12 @@ verify:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go test ./...` at the root never compiles it. Vet it and run its
+# short tests so a root API change cannot break the benchmark silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Fault-tolerance suite under the race detector: chaos isolation
 # (panicking + stalling pairs must not delay healthy ones), breaker

@@ -16,36 +16,26 @@ package repro
 // that owner's ItemsIn, so the fleet-level ledger stays balanced:
 // Σ ItemsIn − Σ HandedOff equals the items producers actually sent.
 //
+// A Put that raced Handoff and pushed after the items were taken runs
+// the handler on its own caller instead (see Pair.Put), so such an item
+// counts in ItemsOut, not HandedOff.
+//
 // Further Puts return ErrClosed. Handoff on an already-closed pair
 // returns (nil, ErrClosed); like Close, it must not be called from a
 // manager goroutine (it blocks on one).
 func (p *Pair[T]) Handoff() ([]T, error) {
-	if p.st.closed.Swap(true) {
-		return nil, ErrClosed
-	}
 	var items []T
 	take := func() {
 		p.drainMu.Lock()
+		n := len(items)
 		items = append(items, p.retry...)
 		p.clearRetry()
 		items = p.q.DrainTo(items)
+		p.st.handedOff.Add(uint64(len(items) - n))
 		p.drainMu.Unlock()
 	}
-	ran := p.st.runOnOwner(func(m *manager) {
-		m.deregister(p.st)
-		take()
-	})
-	if !ran {
-		// The owning manager already stopped (Runtime.Close raced in):
-		// its final sweep drains through the handler, so only items it
-		// never saw are left to take here.
-		take()
+	if !p.close(take) {
+		return nil, ErrClosed
 	}
-	if n := uint64(len(items)); n > 0 {
-		p.st.handedOff.Add(n)
-		p.rt.stats.handedOff.Add(n)
-	}
-	p.rt.removePair(p.st.id)
-	p.event(EventPairClose, 0)
 	return items, nil
 }

@@ -51,6 +51,3 @@ func (p *Pool) Remove(id int) error {
 	p.global -= q
 	return nil
 }
-
-// Size returns the number of registered consumers.
-func (p *Pool) Size() int { return len(p.quotas) }

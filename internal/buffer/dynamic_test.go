@@ -7,8 +7,8 @@ import (
 
 func TestEmptyPoolAddRemove(t *testing.T) {
 	p := NewEmptyPool(50, 2)
-	if p.Size() != 0 || p.Global() != 0 {
-		t.Fatalf("fresh pool: size=%d global=%d", p.Size(), p.Global())
+	if p.Global() != 0 {
+		t.Fatalf("fresh pool: global=%d", p.Global())
 	}
 	if err := p.Add(0); err != nil {
 		t.Fatal(err)
@@ -16,7 +16,7 @@ func TestEmptyPoolAddRemove(t *testing.T) {
 	if err := p.Add(1); err != nil {
 		t.Fatal(err)
 	}
-	if p.Global() != 100 || p.Quota(0) != 50 || p.Size() != 2 {
+	if p.Global() != 100 || p.Quota(0) != 50 {
 		t.Fatalf("after adds: global=%d quota0=%d", p.Global(), p.Quota(0))
 	}
 	if err := p.Add(0); err == nil {
@@ -28,8 +28,8 @@ func TestEmptyPoolAddRemove(t *testing.T) {
 	if err := p.Remove(0); err != nil {
 		t.Fatal(err)
 	}
-	if p.Global() != 50 || p.Size() != 1 {
-		t.Fatalf("after remove: global=%d size=%d", p.Global(), p.Size())
+	if p.Global() != 50 {
+		t.Fatalf("after remove: global=%d", p.Global())
 	}
 	if err := p.Remove(0); err == nil {
 		t.Fatal("double remove should fail")

@@ -101,15 +101,6 @@ func (p *Pool) Request(id, want int) int {
 	return granted
 }
 
-// ReleaseAll returns every consumer to the minimum quota; used at
-// shutdown and in failure-injection tests.
-func (p *Pool) ReleaseAll() {
-	for id := range p.quotas {
-		p.claimed += p.minPer - p.quotas[id]
-		p.quotas[id] = p.minPer
-	}
-}
-
 // MeanQuota returns the average quota granted across all Request calls
 // — the "average buffer size" the paper reports (43 of 50 allocated).
 func (p *Pool) MeanQuota() float64 {

@@ -93,23 +93,6 @@ func TestMinFloorClampedToB0(t *testing.T) {
 	}
 }
 
-func TestReleaseAll(t *testing.T) {
-	p := NewPool(50, 3, 2)
-	p.Request(0, 100)
-	p.ReleaseAll()
-	for id := 0; id < 3; id++ {
-		if p.Quota(id) != 2 {
-			t.Fatalf("Quota(%d) = %d after ReleaseAll", id, p.Quota(id))
-		}
-	}
-	if p.Available() != 150-6 {
-		t.Fatalf("Available = %d", p.Available())
-	}
-	if err := p.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMeanQuota(t *testing.T) {
 	p := NewPool(50, 1, 1)
 	if p.MeanQuota() != 0 {

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -142,14 +141,4 @@ func (t Table) Markdown(w io.Writer) error {
 	b.WriteByte('\n')
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// sortedKeys is a test/debug helper listing a row's value keys.
-func sortedKeys(r Row) []string {
-	keys := make([]string, 0, len(r.Values))
-	for k := range r.Values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

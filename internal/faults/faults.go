@@ -8,7 +8,6 @@
 package faults
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -75,16 +74,6 @@ func NewInjector(p Profile) *Injector {
 	return &Injector{profile: p, rng: rand.New(rand.NewSource(p.Seed))}
 }
 
-// Profile returns the injector's profile.
-func (in *Injector) Profile() Profile { return in.profile }
-
-// Calls returns how many decisions have been drawn.
-func (in *Injector) Calls() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.calls
-}
-
 // Next draws the decision for the next invocation.
 func (in *Injector) Next() Decision {
 	in.mu.Lock()
@@ -105,27 +94,4 @@ func (in *Injector) Next() Decision {
 		d.Err = fmt.Errorf("%w: injected error at call %d", ErrInjected, in.calls)
 	}
 	return d
-}
-
-// Wrap decorates an error-aware batch handler with fault injection.
-// The stall deliberately ignores ctx cancellation: it models a handler
-// that does not honour its deadline, which is exactly what the
-// watchdog must catch.
-func Wrap[T any](in *Injector, h func(ctx context.Context, batch []T) error) func(ctx context.Context, batch []T) error {
-	if in == nil {
-		return h
-	}
-	return func(ctx context.Context, batch []T) error {
-		d := in.Next()
-		if d.Stall > 0 {
-			time.Sleep(d.Stall)
-		}
-		if d.Panic {
-			panic(fmt.Sprintf("faults: injected panic at call %d", in.Calls()))
-		}
-		if d.Err != nil {
-			return d.Err
-		}
-		return h(ctx, batch)
-	}
 }

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
@@ -66,36 +65,4 @@ func TestZeroProfile(t *testing.T) {
 			t.Fatalf("zero profile injected %+v", d)
 		}
 	}
-}
-
-func TestWrap(t *testing.T) {
-	calls := 0
-	h := func(ctx context.Context, batch []int) error { calls++; return nil }
-
-	if err := Wrap(nil, h)(context.Background(), nil); err != nil || calls != 1 {
-		t.Fatalf("nil injector wrap: err=%v calls=%d", err, calls)
-	}
-
-	in := NewInjector(Profile{FailFirst: 1})
-	wrapped := Wrap(in, h)
-	if err := wrapped(context.Background(), nil); !errors.Is(err, ErrInjected) {
-		t.Fatalf("forced failure: got %v", err)
-	}
-	if calls != 1 {
-		t.Fatalf("inner handler ran through an injected failure (calls=%d)", calls)
-	}
-	if err := wrapped(context.Background(), nil); err != nil || calls != 2 {
-		t.Fatalf("clean call: err=%v calls=%d", err, calls)
-	}
-}
-
-func TestWrapPanics(t *testing.T) {
-	in := NewInjector(Profile{PanicRate: 1})
-	wrapped := Wrap(in, func(ctx context.Context, batch []int) error { return nil })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("injected panic did not propagate")
-		}
-	}()
-	_ = wrapped(context.Background(), nil)
 }

@@ -48,9 +48,6 @@ func (r *Reservoir) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Seen returns the number of observations offered.
-func (r *Reservoir) Seen() uint64 { return r.seen }
-
 // Percentile returns the p-th percentile (0–100) of the sampled
 // latencies, 0 when empty. The reservoir is sorted in place.
 func (r *Reservoir) Percentile(p float64) simtime.Duration {

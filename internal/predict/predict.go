@@ -216,33 +216,3 @@ type Factory func() Predictor
 // DefaultFactory is the paper's configuration: a moving average with
 // window 8.
 func DefaultFactory() Predictor { return NewMovingAverage(8) }
-
-// FactoryByName resolves a predictor spec for CLI tools:
-// "ma:8", "ewma:0.3", "kalman:1000,10000", "hold".
-func FactoryByName(spec string) (Factory, error) {
-	var (
-		h    int
-		a, q float64
-		r    float64
-	)
-	switch {
-	case spec == "hold":
-		return func() Predictor { return NewHold() }, nil
-	case len(spec) > 3 && spec[:3] == "ma:":
-		if _, err := fmt.Sscanf(spec, "ma:%d", &h); err != nil || h < 1 {
-			return nil, fmt.Errorf("predict: bad moving-average spec %q", spec)
-		}
-		return func() Predictor { return NewMovingAverage(h) }, nil
-	case len(spec) > 5 && spec[:5] == "ewma:":
-		if _, err := fmt.Sscanf(spec, "ewma:%g", &a); err != nil || a <= 0 || a > 1 {
-			return nil, fmt.Errorf("predict: bad EWMA spec %q", spec)
-		}
-		return func() Predictor { return NewEWMA(a) }, nil
-	case len(spec) > 7 && spec[:7] == "kalman:":
-		if _, err := fmt.Sscanf(spec, "kalman:%g,%g", &q, &r); err != nil || q <= 0 || r <= 0 {
-			return nil, fmt.Errorf("predict: bad Kalman spec %q", spec)
-		}
-		return func() Predictor { return NewKalman(q, r) }, nil
-	}
-	return nil, fmt.Errorf("predict: unknown predictor %q", spec)
-}

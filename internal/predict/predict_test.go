@@ -170,28 +170,6 @@ func TestNames(t *testing.T) {
 	}
 }
 
-func TestFactoryByName(t *testing.T) {
-	good := []string{"ma:4", "ewma:0.25", "kalman:100,1000", "hold"}
-	for _, spec := range good {
-		f, err := FactoryByName(spec)
-		if err != nil {
-			t.Errorf("FactoryByName(%q): %v", spec, err)
-			continue
-		}
-		p := f()
-		p.Observe(100)
-		if p.Predict() != 100 {
-			t.Errorf("%q: first prediction = %v", spec, p.Predict())
-		}
-	}
-	bad := []string{"", "ma:0", "ma:x", "ewma:2", "ewma:", "kalman:1", "kalman:0,1", "magic"}
-	for _, spec := range bad {
-		if _, err := FactoryByName(spec); err == nil {
-			t.Errorf("FactoryByName(%q) should fail", spec)
-		}
-	}
-}
-
 func TestDefaultFactory(t *testing.T) {
 	p := DefaultFactory()
 	if p.Name() != "ma(8)" {

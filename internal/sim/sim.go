@@ -41,9 +41,6 @@ func NewMachine(n int, model power.Model) *Machine {
 	return m
 }
 
-// NumCores returns the core count.
-func (m *Machine) NumCores() int { return len(m.cores) }
-
 // Core returns core i.
 func (m *Machine) Core(i int) *Core { return m.cores[i] }
 
@@ -171,15 +168,6 @@ func (c *Core) PinAwake() { c.pinnedAwake = true }
 // on an idle core it will pay a wakeup.
 func (c *Core) Active() bool {
 	return c.pinnedAwake || c.busyUntil > c.machine.Loop.Now()
-}
-
-// ActiveAt reports whether the core's busy horizon covers t ≥ now.
-// Consumers use it to evaluate w(s) for future slots: a future slot is
-// only known-awake if already-queued work stretches past it, which the
-// core manager models through reservations instead — so this is mainly
-// for introspection and tests.
-func (c *Core) ActiveAt(t simtime.Time) bool {
-	return c.pinnedAwake || c.busyUntil > t
 }
 
 // account integrates residency up to t. Active segments additionally

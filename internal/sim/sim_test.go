@@ -21,9 +21,6 @@ func testModel() power.Model {
 
 func TestNewMachine(t *testing.T) {
 	m := NewMachine(2, testModel())
-	if m.NumCores() != 2 {
-		t.Fatalf("NumCores = %d", m.NumCores())
-	}
 	if m.Core(0).ID() != 0 || m.Core(1).ID() != 1 {
 		t.Fatal("core ids wrong")
 	}
@@ -187,18 +184,6 @@ func TestSetDeratingInvalid(t *testing.T) {
 		}
 	}()
 	m.Core(0).SetDerating(0)
-}
-
-func TestActiveAt(t *testing.T) {
-	m := NewMachine(1, testModel())
-	c := m.Core(0)
-	c.RunFor(100 * simtime.Microsecond)
-	if !c.ActiveAt(simtime.Time(50 * simtime.Microsecond)) {
-		t.Fatal("should be active mid-work")
-	}
-	if c.ActiveAt(simtime.Time(simtime.Second)) {
-		t.Fatal("should be idle after horizon")
-	}
 }
 
 func TestTotalWakeups(t *testing.T) {

@@ -73,15 +73,6 @@ func (tr Track) Misalignment(t simtime.Time) simtime.Duration {
 	return t.Sub(tr.Floor(t))
 }
 
-// TotalMisalignment sums Eq. 7 over a set of invocation times.
-func (tr Track) TotalMisalignment(times []simtime.Time) simtime.Duration {
-	var total simtime.Duration
-	for _, t := range times {
-		total += tr.Misalignment(t)
-	}
-	return total
-}
-
 // DefaultDelta computes the paper's default slot size: "the minimum of
 // all maximum acceptable response latencies defined by the
 // producer-consumer pairs" (§V-A). It panics on an empty set or

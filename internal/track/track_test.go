@@ -71,10 +71,6 @@ func TestAlignedMisalignment(t *testing.T) {
 	if tr.Misalignment(345) != 45 {
 		t.Fatalf("Misalignment = %v", tr.Misalignment(345))
 	}
-	total := tr.TotalMisalignment([]simtime.Time{100, 150, 275})
-	if total != 0+50+75 {
-		t.Fatalf("TotalMisalignment = %v", total)
-	}
 }
 
 func TestDefaultDelta(t *testing.T) {

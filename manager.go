@@ -90,7 +90,8 @@ type pairState struct {
 	probeAt atomic.Int64
 
 	// Per-pair counters (atomics: read by PairStats from any goroutine,
-	// written on the producer and manager paths).
+	// written on the producer and manager paths). They are the only
+	// copy: Runtime.Stats sums them.
 	itemsOut     atomic.Uint64
 	invocations  atomic.Uint64
 	overflows    atomic.Uint64
@@ -119,6 +120,14 @@ type pairState struct {
 	probing atomic.Bool
 	// retained is the size of the failed batch held for redelivery.
 	retained atomic.Int64
+	// detached is set by the close sequence once the manager has let go
+	// of the pair. Until then Runtime.retire leaves the pair open: the
+	// manager may still be planning it, and planning requests quota
+	// from the pool membership retire releases.
+	detached atomic.Bool
+	// folded is the pair's PairStats as last folded into rt.retired
+	// (guarded by rt.pairMu; see Runtime.retire).
+	folded PairStats
 
 	// lastRate holds the float bits of the pair's latest predicted rate
 	// (items/s), published on every plan so the placement controller can
@@ -182,7 +191,6 @@ const (
 func (st *pairState) drain(rt *Runtime, cause drainCause, wake uint64) drainReport {
 	rep := st.drainFault(cause == causeFinal)
 	if rep.attempted > 0 || cause >= causeTimer {
-		rt.stats.invocations.Add(1)
 		st.invocations.Add(1)
 		rt.emit(Event{
 			Kind:      EventDrain,
@@ -217,7 +225,6 @@ func (st *pairState) breaker(rt *Runtime, rep drainReport, now simtime.Time) boo
 	st.backoff = st.baseBackoff
 	st.probeAt.Store(int64(now.Add(st.backoff)))
 	st.quarantines.Add(1)
-	rt.stats.quarantines.Add(1)
 	rt.emit(Event{Kind: EventQuarantine, Pair: st.id, Manager: st.mgr.Load().id})
 	return true
 }
@@ -271,10 +278,10 @@ type manager struct {
 	// at the top of loop.
 	labelCtx context.Context
 
-	// Per-manager wakeup counters (atomics: incremented alongside the
-	// runtime totals, read by ManagerSnapshots from any goroutine). They
-	// expose where the wakeups happen, which is what the placement
-	// controller is trying to shrink.
+	// Per-manager wakeup counters (atomics: read by ManagerSnapshots and
+	// summed by Runtime.Stats from any goroutine; there is no second
+	// runtime-wide copy). They expose where the wakeups happen, which is
+	// what the placement controller is trying to shrink.
 	timerWakes  atomic.Uint64
 	forcedWakes atomic.Uint64
 }
@@ -379,7 +386,6 @@ func (m *manager) loop() {
 				continue
 			}
 			if !p.closed.Load() {
-				m.rt.stats.forcedWakes.Add(1)
 				m.forcedWakes.Add(1)
 				wake := m.rt.emit(Event{Kind: EventForcedWake, Pair: p.id, Manager: m.id, Items: 1})
 				m.drainAndPlan(p, m.rt.now(), causeForced, wake)
@@ -411,7 +417,6 @@ func (m *manager) onTimer() {
 	if len(due) == 0 {
 		return
 	}
-	m.rt.stats.timerWakes.Add(1)
 	m.timerWakes.Add(1)
 	wake := m.rt.emit(Event{Kind: EventTimerFire, Manager: m.id, Items: len(due)})
 	var t0 int64

@@ -35,7 +35,7 @@ type obsState struct {
 
 	// retiredWait / retiredDone accumulate closed pairs' histograms so
 	// LatencyTotals covers the runtime's whole life, not just the pairs
-	// still open (see removePair).
+	// still open (see Runtime.retire).
 	retiredWait *obs.Histogram
 	retiredDone *obs.Histogram
 }

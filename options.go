@@ -16,8 +16,8 @@ var (
 	// The runtime has already forced a drain; the caller may retry
 	// immediately or shed the item.
 	ErrOverflow = errors.New("repro: buffer overflow")
-	// ErrTooManyPairs reports that the runtime's preallocated global
-	// buffer arena cannot host another pair (see WithMaxPairs).
+	// ErrTooManyPairs reports that the runtime already has MaxPairs
+	// pairs open (see WithMaxPairs).
 	ErrTooManyPairs = errors.New("repro: too many pairs")
 	// ErrQuarantined reports a Put on a pair whose circuit breaker is
 	// open (see Breaker): the handler has failed repeatedly and
@@ -158,7 +158,8 @@ func WithSlotSize(d time.Duration) Option { return func(o *options) { o.slotSize
 func WithMaxLatency(d time.Duration) Option { return func(o *options) { o.maxLatency = d } }
 
 // WithBuffer sets B0, each pair's preferred buffer capacity in items;
-// the global pool is B0 × MaxPairs. Default 64. Buffering concern.
+// the global pool Bg is B0 × the number of open pairs (it grows by B0
+// at Open and shrinks by B0 at Close). Default 64. Buffering concern.
 func WithBuffer(b int) Option { return func(o *options) { o.buffer = b } }
 
 // WithMinQuota sets the floor a pair's elastic quota can shrink to.
@@ -169,14 +170,16 @@ func WithMinQuota(n int) Option { return func(o *options) { o.minQuota = n } }
 // are sized to predicted-need/η. Default 0.7. Buffering concern.
 func WithHeadroom(h float64) Option { return func(o *options) { o.headroom = h } }
 
-// WithMaxPairs caps concurrently open pairs; the shared segment arena
-// is preallocated for this many. Default 64. Buffering concern.
+// WithMaxPairs caps concurrently open pairs. Default 64. Each pair
+// allocates its own segment arena at Open, 2·⌈B0/16⌉ segments of 16
+// items, and that arena also caps how much quota lent from the pool the
+// pair can actually use. Buffering concern.
 func WithMaxPairs(n int) Option { return func(o *options) { o.maxPairs = n } }
 
 // WithPredictor sets the rate predictor factory (each pair gets its own
 // instance). Default: the paper's moving average with window 8; see
-// internal/predict for EWMA and Kalman variants via
-// predict.FactoryByName. Scheduling concern.
+// internal/predict for the EWMA, Kalman and hold variants. Scheduling
+// concern.
 func WithPredictor(f predict.Factory) Option { return func(o *options) { o.predictor = f } }
 
 // WithConsolidation enables the placement controller: a background

@@ -75,7 +75,6 @@ func (p *Pair[T]) drainFault(final bool) drainReport {
 	if len(p.retry) > 0 {
 		p.retryAttempts++
 		p.st.redeliveries.Add(1)
-		p.rt.stats.redeliveries.Add(1)
 		p.event(EventRedeliver, len(p.retry))
 		if p.invoke(p.retry, &rep) {
 			p.deliver(len(p.retry), &rep)
@@ -154,7 +153,7 @@ func (p *Pair[T]) recordDone(stamps []int64) {
 // invoke hands one batch to the handler under panic recovery and, when
 // HandlerTimeout is set, a watchdog. It reports whether the
 // batch was handled cleanly; failures (panic, error, overrun) are
-// charged to the pair's and runtime's counters here.
+// charged to the pair's counters here.
 func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
 	rep.attempted += len(batch)
 	ctx := context.Background()
@@ -179,7 +178,6 @@ func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
 			// and the event stream see the overrun while it happens.
 			p.st.degraded.Store(true)
 			p.st.timeouts.Add(1)
-			p.rt.stats.handlerTimeouts.Add(1)
 			p.event(EventOverrun, n)
 		})
 	}
@@ -199,11 +197,9 @@ func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
 	overran := p.st.handlerTimeout > 0 && time.Since(start) >= p.st.handlerTimeout
 	if panicked {
 		p.st.panics.Add(1)
-		p.rt.stats.handlerPanics.Add(1)
 	}
 	if err != nil {
 		p.st.herrors.Add(1)
-		p.rt.stats.handlerErrors.Add(1)
 	}
 	if overran {
 		rep.timedOut = true
@@ -218,7 +214,6 @@ func (p *Pair[T]) invoke(batch []T, rep *drainReport) bool {
 // deliver credits n successfully handled items.
 func (p *Pair[T]) deliver(n int, rep *drainReport) {
 	rep.delivered += n
-	p.rt.stats.itemsOut.Add(uint64(n))
 	p.st.itemsOut.Add(uint64(n))
 }
 
@@ -226,7 +221,6 @@ func (p *Pair[T]) deliver(n int, rep *drainReport) {
 // failure on a final drain).
 func (p *Pair[T]) dropBatch(n int, rep *drainReport) {
 	rep.dropped += n
-	p.rt.stats.itemsDropped.Add(uint64(n))
 	p.st.dropped.Add(uint64(n))
 	p.event(EventDrop, n)
 }
@@ -245,6 +239,9 @@ func (p *Pair[T]) clearRetry() {
 // ErrQuarantined instead of buffering items that cannot drain — except
 // in the brief window once the next half-open probe is due, when items
 // are admitted as probe fodder so a recovered handler can prove itself.
+// A Put that returns nil never strands its item, even when Close,
+// Handoff or Runtime.Close races it: an item pushed after their final
+// drain is drained on the caller before Put returns.
 func (p *Pair[T]) Put(v T) error {
 	if p.st.closed.Load() || p.rt.closed.Load() {
 		return ErrClosed
@@ -262,18 +259,9 @@ func (p *Pair[T]) Put(v T) error {
 	}
 	p.unlockProducers()
 	if ok {
-		if p.rt.closed.Load() {
-			// Runtime.Close raced in after the entry check, so its
-			// final sweep may already have run: drain on the caller
-			// rather than strand the item. The item was accepted and
-			// handled, so report success.
-			p.st.drain(p.rt, causeFinal, 0)
-			return nil
-		}
-		p.kickIfUnarmed()
+		p.afterPush()
 		return nil
 	}
-	p.rt.stats.overflows.Add(1)
 	p.st.overflows.Add(1)
 	p.forceDrain()
 	return ErrOverflow
@@ -311,17 +299,10 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 	}
 	p.unlockProducers()
 	if n > 0 {
-		if p.rt.closed.Load() {
-			// Same close race as Put: drain on the caller.
-			p.st.drain(p.rt, causeFinal, 0)
-		} else {
-			p.kickIfUnarmed()
-		}
+		p.afterPush()
 	}
 	if n < len(items) {
-		rejected := uint64(len(items) - n)
-		p.rt.stats.overflows.Add(rejected)
-		p.st.overflows.Add(rejected)
+		p.st.overflows.Add(uint64(len(items) - n))
 		p.forceDrain()
 		return n, ErrOverflow
 	}
@@ -342,6 +323,21 @@ func (p *Pair[T]) unlockProducers() {
 	if p.putMu != nil {
 		p.putMu.Unlock()
 	}
+}
+
+// afterPush follows an accepted push. Normally it kicks the manager.
+// When Pair.Close, Pair.Handoff or Runtime.Close raced in after the
+// entry check, their final drain may already have run, so it drains on
+// the caller rather than strand the item, and retires the pair again so
+// the item is counted in and out once. The item was accepted and
+// handled, so Put still reports success.
+func (p *Pair[T]) afterPush() {
+	if !p.st.closed.Load() && !p.rt.closed.Load() {
+		p.kickIfUnarmed()
+		return
+	}
+	p.st.drain(p.rt, causeFinal, 0)
+	p.rt.retire(p.st)
 }
 
 // kickIfUnarmed arms the pair and wakes its manager if no reservation
@@ -396,7 +392,27 @@ type PairStats struct {
 	HandedOff uint64
 }
 
-// Stats returns a snapshot of the pair's counters.
+// fold returns s + (cur − prev), field by field: the running total a
+// retired pair's counts accumulate into.
+func (s PairStats) fold(cur, prev PairStats) PairStats {
+	return PairStats{
+		ItemsIn:      s.ItemsIn + cur.ItemsIn - prev.ItemsIn,
+		ItemsOut:     s.ItemsOut + cur.ItemsOut - prev.ItemsOut,
+		Invocations:  s.Invocations + cur.Invocations - prev.Invocations,
+		Overflows:    s.Overflows + cur.Overflows - prev.Overflows,
+		Kicks:        s.Kicks + cur.Kicks - prev.Kicks,
+		Panics:       s.Panics + cur.Panics - prev.Panics,
+		Errors:       s.Errors + cur.Errors - prev.Errors,
+		Timeouts:     s.Timeouts + cur.Timeouts - prev.Timeouts,
+		Quarantines:  s.Quarantines + cur.Quarantines - prev.Quarantines,
+		Redeliveries: s.Redeliveries + cur.Redeliveries - prev.Redeliveries,
+		Dropped:      s.Dropped + cur.Dropped - prev.Dropped,
+		HandedOff:    s.HandedOff + cur.HandedOff - prev.HandedOff,
+	}
+}
+
+// Stats returns a snapshot of the pair's counters. They keep counting
+// after Close for an item a racing Put pushed late (see Pair.Put).
 func (p *Pair[T]) Stats() PairStats {
 	return p.st.pairStats()
 }
@@ -417,19 +433,29 @@ func (p *Pair[T]) Quarantined() bool { return p.st.quarantined.Load() }
 // dropped and accounted (never retained), so after Close the pair's
 // ItemsIn == ItemsOut + Dropped. Close is idempotent.
 func (p *Pair[T]) Close() error {
+	p.close(func() { p.st.drain(p.rt, causeFinal, 0) })
+	return nil
+}
+
+// close is the one close sequence Close and Handoff share: mark the pair
+// closed, detach it from its manager and empty it with final on the
+// manager's goroutine (or on the caller once the manager has stopped),
+// then retire it. It reports false if the pair was already closed.
+func (p *Pair[T]) close(final func()) bool {
 	if p.st.closed.Swap(true) {
-		return nil
+		return false
 	}
 	ran := p.st.runOnOwner(func(m *manager) {
 		m.deregister(p.st)
-		p.st.drain(p.rt, causeFinal, 0)
+		final()
 	})
 	if !ran {
 		// Manager already stopped: it drained (or will drain) every
 		// pair it knew in finalDrain; catch only what is left here.
-		p.st.drain(p.rt, causeFinal, 0)
+		final()
 	}
-	p.rt.removePair(p.st.id)
+	p.st.detached.Store(true)
+	p.rt.retire(p.st)
 	p.event(EventPairClose, 0)
-	return nil
+	return true
 }

@@ -14,7 +14,9 @@ import (
 
 // Stats is a snapshot of runtime counters. TimerWakes + ForcedWakes is
 // the live analogue of the paper's wakeup objective (Eq. 4): how many
-// times consumer work pulled a core manager out of its sleep.
+// times consumer work pulled a core manager out of its sleep. Runtime.Stats
+// derives it from the pairs' and managers' own counters, closed pairs
+// included, so every field only grows between snapshots.
 type Stats struct {
 	// TimerWakes counts slot-timer expirations that drained at least
 	// one pair (the scheduled wakeups of §V-B).
@@ -60,44 +62,13 @@ type Stats struct {
 	HandedOff uint64
 }
 
+// counters holds the only runtime facts that belong to no pair and no
+// manager. Every other Stats field is summed from the pairs' and
+// managers' own counters (see Runtime.Stats).
 type counters struct {
-	timerWakes      atomic.Uint64
-	forcedWakes     atomic.Uint64
-	invocations     atomic.Uint64
-	itemsOut        atomic.Uint64
-	overflows       atomic.Uint64
-	handlerPanics   atomic.Uint64
-	handlerErrors   atomic.Uint64
-	handlerTimeouts atomic.Uint64
-	quarantines     atomic.Uint64
-	recoveries      atomic.Uint64
-	redeliveries    atomic.Uint64
-	itemsDropped    atomic.Uint64
-	migrations      atomic.Uint64
-	handedOff       atomic.Uint64
-	powerThrottles  atomic.Uint64
-}
-
-// snapshot loads every counter except ItemsIn, which Runtime.Stats
-// reads afterwards from the pairs' queues.
-func (c *counters) snapshot() Stats {
-	return Stats{
-		TimerWakes:      c.timerWakes.Load(),
-		ForcedWakes:     c.forcedWakes.Load(),
-		Invocations:     c.invocations.Load(),
-		ItemsOut:        c.itemsOut.Load(),
-		Overflows:       c.overflows.Load(),
-		HandlerPanics:   c.handlerPanics.Load(),
-		HandlerErrors:   c.handlerErrors.Load(),
-		HandlerTimeouts: c.handlerTimeouts.Load(),
-		Quarantines:     c.quarantines.Load(),
-		Recoveries:      c.recoveries.Load(),
-		Redeliveries:    c.redeliveries.Load(),
-		ItemsDropped:    c.itemsDropped.Load(),
-		Migrations:      c.migrations.Load(),
-		HandedOff:       c.handedOff.Load(),
-		PowerThrottles:  c.powerThrottles.Load(),
-	}
+	recoveries     atomic.Uint64
+	migrations     atomic.Uint64
+	powerThrottles atomic.Uint64
 }
 
 // Runtime hosts core managers and the shared elastic buffer pool. All
@@ -124,7 +95,7 @@ type Runtime struct {
 	nextPair  int
 	openPairs int
 	pairs     map[int]*pairState
-	retiredIn uint64 // items accepted by pairs already removed
+	retired   PairStats // closed pairs' counters, folded in by retire
 
 	closed atomic.Bool
 	wg     sync.WaitGroup
@@ -213,18 +184,43 @@ func (rt *Runtime) wallAt(t simtime.Time) time.Time {
 	return rt.start.Add(time.Duration(t))
 }
 
-// Stats returns a snapshot of the runtime counters. ItemsIn follows
-// the rule of PairStats: it sums the queues' own published counts and is
-// read after the items that left, so a snapshot taken mid-flight never
-// shows ItemsOut + ItemsDropped + HandedOff above ItemsIn.
+// Stats returns a snapshot of the runtime counters. Each fact has one
+// source: the per-pair counters, summed over every pair the runtime
+// ever opened (the closed ones through the total retire folds them
+// into, the open ones through their PairStats), the per-manager wakeup
+// counters, and the three facts only the runtime knows (Recoveries,
+// Migrations, PowerThrottles). Every field is therefore non-decreasing
+// from one snapshot to the next, and closed pairs stay included. Like
+// PairStats, each pair's ItemsIn is read after the items that left, so
+// a snapshot taken mid-flight never shows ItemsOut + ItemsDropped +
+// HandedOff above ItemsIn.
 func (rt *Runtime) Stats() Stats {
-	s := rt.stats.snapshot()
+	s := Stats{
+		Recoveries:     rt.stats.recoveries.Load(),
+		Migrations:     rt.stats.migrations.Load(),
+		PowerThrottles: rt.stats.powerThrottles.Load(),
+	}
+	for _, m := range rt.managers {
+		s.TimerWakes += m.timerWakes.Load()
+		s.ForcedWakes += m.forcedWakes.Load()
+	}
 	rt.pairMu.Lock()
-	s.ItemsIn = rt.retiredIn
+	ps := rt.retired
 	for _, st := range rt.pairs {
-		s.ItemsIn += st.pushed()
+		ps = ps.fold(st.pairStats(), PairStats{})
 	}
 	rt.pairMu.Unlock()
+	s.ItemsIn = ps.ItemsIn
+	s.ItemsOut = ps.ItemsOut
+	s.Invocations = ps.Invocations
+	s.Overflows = ps.Overflows
+	s.HandlerPanics = ps.Panics
+	s.HandlerErrors = ps.Errors
+	s.HandlerTimeouts = ps.Timeouts
+	s.Quarantines = ps.Quarantines
+	s.Redeliveries = ps.Redeliveries
+	s.ItemsDropped = ps.Dropped
+	s.HandedOff = ps.HandedOff
 	return s
 }
 
@@ -256,8 +252,9 @@ type PairSnapshot struct {
 }
 
 // PairSnapshots captures every open pair's stats in one call, ordered
-// by pair id. The per-pair counters sum to the matching Stats fields up
-// to snapshot skew (pairs closed before the call no longer appear).
+// by pair id. Pairs closed before the call no longer appear here, but
+// Stats still counts them, so the per-pair counters sum to the matching
+// Stats fields only while no pair has closed (and up to snapshot skew).
 func (rt *Runtime) PairSnapshots() []PairSnapshot {
 	rt.pairMu.Lock()
 	states := make([]*pairState, 0, len(rt.pairs))
@@ -286,9 +283,10 @@ func (rt *Runtime) PairSnapshots() []PairSnapshot {
 // Close stops every core manager, draining all remaining buffered
 // items through their handlers first. Close is idempotent and safe to
 // race with concurrent Put: once every producer has returned, every
-// accepted item has been drained or accounted as dropped
-// (ItemsOut + ItemsDropped == ItemsIn; drops only happen when a
-// handler fails during these final drains or exhausted redelivery).
+// accepted item has been drained, dropped or handed off
+// (ItemsIn == ItemsOut + ItemsDropped + HandedOff; drops only happen
+// when a handler fails during these final drains or exhausted
+// redelivery).
 func (rt *Runtime) Close() error {
 	if rt.closed.Swap(true) {
 		return nil
@@ -360,24 +358,36 @@ func (rt *Runtime) trackPair(st *pairState) {
 	rt.pairMu.Unlock()
 }
 
-// removePair releases a pair's pool membership. A closing pair's
-// accepted-item count and histograms fold into the runtime's retired
-// accumulators so Stats and LatencyTotals keep covering it.
-func (rt *Runtime) removePair(id int) {
-	rt.pairMu.Lock()
-	rt.openPairs--
-	st := rt.pairs[id]
-	if st != nil {
-		rt.retiredIn += st.pushed()
+// retire folds a closing pair into the runtime's retired totals so
+// Stats and LatencyTotals keep covering it. It is idempotent and does
+// nothing until the pair's close sequence has detached it from its
+// manager. The first call after that removes the pair and releases its
+// pool membership; every call adds the pair's counts since its last
+// fold, which is how an item a racing Put pushed after the close drain
+// is still counted in and out exactly once (see Pair.Put).
+func (rt *Runtime) retire(st *pairState) {
+	if !st.detached.Load() {
+		return
 	}
-	delete(rt.pairs, id)
+	rt.pairMu.Lock()
+	_, first := rt.pairs[st.id]
+	if first {
+		delete(rt.pairs, st.id)
+		rt.openPairs--
+	}
+	cur := st.pairStats()
+	rt.retired = rt.retired.fold(cur, st.folded)
+	st.folded = cur
 	rt.pairMu.Unlock()
-	if st != nil && st.obs != nil && rt.obs != nil && rt.obs.hist {
+	if !first {
+		return
+	}
+	if st.obs != nil && rt.obs != nil && rt.obs.hist {
 		rt.obs.retiredWait.Merge(st.obs.wait)
 		rt.obs.retiredDone.Merge(st.obs.done)
 	}
 	rt.poolMu.Lock()
-	_ = rt.pool.Remove(id)
+	_ = rt.pool.Remove(st.id)
 	rt.poolMu.Unlock()
 }
 

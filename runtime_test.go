@@ -418,6 +418,15 @@ func TestStatsConsistency(t *testing.T) {
 	}) {
 		t.Fatalf("delivered %d of %d", out, total)
 	}
+	// Close the pairs first: the runtime totals must then be exactly the
+	// sum of the closed pairs' final counters.
+	var sum PairStats
+	for _, p := range pairs {
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		sum = sum.fold(p.Stats(), PairStats{})
+	}
 	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,6 +436,28 @@ func TestStatsConsistency(t *testing.T) {
 	}
 	if st.Invocations == 0 {
 		t.Fatal("no invocations recorded")
+	}
+	fromPairs := Stats{
+		ItemsIn:         sum.ItemsIn,
+		ItemsOut:        sum.ItemsOut,
+		Invocations:     sum.Invocations,
+		Overflows:       sum.Overflows,
+		HandlerPanics:   sum.Panics,
+		HandlerErrors:   sum.Errors,
+		HandlerTimeouts: sum.Timeouts,
+		Quarantines:     sum.Quarantines,
+		Redeliveries:    sum.Redeliveries,
+		ItemsDropped:    sum.Dropped,
+		HandedOff:       sum.HandedOff,
+		// Not pair facts: taken from the runtime's own snapshot.
+		TimerWakes:     st.TimerWakes,
+		ForcedWakes:    st.ForcedWakes,
+		Recoveries:     st.Recoveries,
+		Migrations:     st.Migrations,
+		PowerThrottles: st.PowerThrottles,
+	}
+	if st != fromPairs {
+		t.Fatalf("runtime stats %+v\n!= sum of closed pairs %+v", st, fromPairs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,7 +104,11 @@ func TestPairSnapshotsChurn(t *testing.T) {
 // show no more items out than in. Put publishes an item before any
 // drain can count it out, so only a snapshot that reads ItemsIn ahead
 // of the outs, or counts an item in after publishing it, can break
-// ItemsOut + ItemsDropped + HandedOff <= ItemsIn.
+// ItemsOut + ItemsDropped + HandedOff <= ItemsIn. Every Stats field must
+// also be non-decreasing from one snapshot to the next, closed pairs
+// included (the power-cap controller and pcd's Prometheus counters take
+// uint64 deltas of them), and after Runtime.Close the ledger must
+// balance exactly.
 func TestStatsSnapshotsChurn(t *testing.T) {
 	rt, err := New(
 		WithSlotSize(time.Millisecond),
@@ -164,16 +169,24 @@ func TestStatsSnapshotsChurn(t *testing.T) {
 		}()
 	}
 
+	fail := func(format string, args ...any) {
+		stop.Store(true)
+		wg.Wait()
+		t.Fatalf(format, args...)
+	}
 	snapshots := 0
+	var prev Stats
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		s := rt.Stats()
 		if out := s.ItemsOut + s.ItemsDropped + s.HandedOff; out > s.ItemsIn {
-			stop.Store(true)
-			wg.Wait()
-			t.Fatalf("snapshot %d: out %d + dropped %d + handed off %d = %d > in %d",
+			fail("snapshot %d: out %d + dropped %d + handed off %d = %d > in %d",
 				snapshots, s.ItemsOut, s.ItemsDropped, s.HandedOff, out, s.ItemsIn)
 		}
+		if field, was, now := decreasedField(prev, s); field != "" {
+			fail("snapshot %d: %s fell from %d to %d", snapshots, field, was, now)
+		}
+		prev = s
 		snapshots++
 	}
 	stop.Store(true)
@@ -181,6 +194,29 @@ func TestStatsSnapshotsChurn(t *testing.T) {
 	if snapshots < 100 {
 		t.Fatalf("only %d snapshots, want >= 100", snapshots)
 	}
+	if err := rt.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := rt.Stats()
+	if field, was, now := decreasedField(prev, s); field != "" {
+		t.Fatalf("after Close: %s fell from %d to %d", field, was, now)
+	}
+	if s.ItemsIn != s.ItemsOut+s.ItemsDropped+s.HandedOff {
+		t.Fatalf("after Close: in %d != out %d + dropped %d + handed off %d",
+			s.ItemsIn, s.ItemsOut, s.ItemsDropped, s.HandedOff)
+	}
+}
+
+// decreasedField returns the first Stats field that is smaller in cur
+// than in prev, with both values, or "" when none is.
+func decreasedField(prev, cur Stats) (string, uint64, uint64) {
+	pv, cv := reflect.ValueOf(prev), reflect.ValueOf(cur)
+	for i := 0; i < pv.NumField(); i++ {
+		if was, now := pv.Field(i).Uint(), cv.Field(i).Uint(); now < was {
+			return pv.Type().Field(i).Name, was, now
+		}
+	}
+	return "", 0, 0
 }
 
 // TestRequestQuotaInvariantUnderResize drives the elastic buffer pool
@@ -249,5 +285,86 @@ func TestRequestQuotaInvariantUnderResize(t *testing.T) {
 	rt.poolMu.Unlock()
 	if err != nil {
 		t.Fatalf("final: %v", err)
+	}
+}
+
+// TestPutRacesPairClose races a producer (Put, or PutBatch on odd
+// iterations) against Pair.Close and Pair.Handoff landing 0–49 µs after
+// it starts. However the close lands, every item a Put or PutBatch
+// accepted must reach the handler, or be counted in Dropped or returned
+// by Handoff, and the runtime-wide Stats must count each such item in
+// and out exactly once.
+func TestPutRacesPairClose(t *testing.T) {
+	rt, err := New(
+		WithSlotSize(time.Millisecond),
+		WithMaxLatency(10*time.Millisecond),
+		WithBuffer(16),
+		WithManagers(2),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	iters := 1000
+	if testing.Short() {
+		iters = 200
+	}
+	for _, mode := range []string{"close", "handoff"} {
+		t.Run(mode, func(t *testing.T) {
+			for i := 0; i < iters; i++ {
+				var handled atomic.Uint64
+				p, err := Open(rt, Batch(func(b []int) { handled.Add(uint64(len(b))) }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var accepted uint64
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					// Odd iterations produce through PutBatch, which
+					// shares Put's post-push close check.
+					batch := []int{1, 2, 3}
+					for v := 0; ; v++ {
+						var n int
+						var err error
+						if i%2 == 1 {
+							n, err = p.PutBatch(batch)
+						} else if err = p.Put(v); err == nil {
+							n = 1
+						}
+						accepted += uint64(n)
+						if err == ErrClosed {
+							return
+						}
+					}
+				}()
+				time.Sleep(time.Duration(i%50) * time.Microsecond)
+				handedOff := 0
+				if mode == "close" {
+					_ = p.Close()
+				} else {
+					items, err := p.Handoff()
+					if err != nil {
+						t.Fatal(err)
+					}
+					handedOff = len(items)
+				}
+				<-done
+				ps := p.Stats()
+				if got := handled.Load() + ps.Dropped + uint64(handedOff); got != accepted {
+					t.Fatalf("iteration %d: %d accepted, %d handled + %d dropped + %d handed off (pair in=%d out=%d)",
+						i, accepted, handled.Load(), ps.Dropped, handedOff, ps.ItemsIn, ps.ItemsOut)
+				}
+				if ps.ItemsIn != accepted || ps.HandedOff != uint64(handedOff) {
+					t.Fatalf("iteration %d: pair in=%d handed off=%d, want %d and %d",
+						i, ps.ItemsIn, ps.HandedOff, accepted, handedOff)
+				}
+				s := rt.Stats()
+				if out := s.ItemsOut + s.ItemsDropped + s.HandedOff; out != s.ItemsIn {
+					t.Fatalf("iteration %d: runtime in=%d, out %d + dropped %d + handed off %d = %d",
+						i, s.ItemsIn, s.ItemsOut, s.ItemsDropped, s.HandedOff, out)
+				}
+			}
+		})
 	}
 }
