@@ -161,20 +161,20 @@ func Open[T any](rt *Runtime, handler Handler[T], opts ...PairOption) (*Pair[T],
 	if err != nil {
 		return nil, err
 	}
-	segs := (o.buffer + o.segSize - 1) / o.segSize * 2 // headroom for lent capacity
+	segs := (o.buffer + segSize - 1) / segSize * 2 // headroom for lent capacity
 	if segs < 2 {
 		segs = 2
 	}
-	pool := ring.NewSegmentPool[T](segs, o.segSize)
+	q := ring.NewUnbounded[T](segs, segSize, o.buffer)
 	p := &Pair[T]{
 		rt:      rt,
 		handler: handler,
-		q:       ring.NewUnbounded(pool, o.buffer),
+		q:       q,
 		// The drain scratch is sized once to the physical ceiling of the
 		// pair's segment arena: DrainTo can never return more items than
-		// the pool can hold, so steady-state drains reuse this slice and
+		// the arena can hold, so steady-state drains reuse this slice and
 		// never allocate.
-		scratch: make([]T, 0, pool.Capacity()),
+		scratch: make([]T, 0, q.Capacity()),
 	}
 	if pc.concurrent {
 		p.putMu = new(sync.Mutex)

@@ -2,7 +2,8 @@
 // Fig. 8) as quota accounting over a global pool.
 //
 // Each of M consumers starts with a preallocated buffer of B0 items;
-// together they form a global buffer Bg = B0·M. A consumer downsizes
+// together they form a global buffer Bg = B0·M, which grows and
+// shrinks as consumers are added and removed. A consumer downsizes
 // its quota to its predicted need, releasing the remainder; a consumer
 // facing a rate spike upsizes, bounded by the unclaimed pool space:
 //
@@ -10,8 +11,9 @@
 //
 // making "the walls between the consumer buffers elastic". The pool
 // tracks integer capacities only — actual storage elasticity for the
-// live runtime is provided by ring.Unbounded over ring.SegmentPool.
-// Keeping the sim-side accounting separate keeps both testable and the
+// live runtime is provided by each pair's ring.Unbounded, whose own
+// segment arena backs the quota it is granted here. Keeping the
+// accounting separate from the storage keeps both testable and the
 // invariant (Σ quotas ≤ Bg) explicit.
 package buffer
 
@@ -26,7 +28,7 @@ import (
 type Pool struct {
 	global  int
 	minPer  int
-	perB0   int // dynamic pools: B0 added per consumer (0 for fixed pools)
+	b0      int // initial quota of each added consumer
 	quotas  map[int]int
 	claimed int
 
@@ -35,30 +37,51 @@ type Pool struct {
 	quotaSampleSum float64
 }
 
-// NewPool creates a pool of global capacity b0PerConsumer×consumers,
-// with every consumer initially holding exactly b0PerConsumer. minPer
-// is the floor below which a quota can never drop (≥1 so a producer can
-// always make progress toward an overflow wakeup).
-func NewPool(b0PerConsumer, consumers, minPer int) *Pool {
-	if b0PerConsumer <= 0 || consumers <= 0 {
-		panic(fmt.Sprintf("buffer: invalid pool geometry %d×%d", b0PerConsumer, consumers))
+// NewPool creates a pool with no consumers; Add registers each one
+// with quota b0, growing Bg by b0. minPer is the floor below which a
+// quota can never drop (clamped to [1, b0], so a producer can always
+// make progress toward an overflow wakeup).
+func NewPool(b0, minPer int) *Pool {
+	if b0 <= 0 {
+		panic(fmt.Sprintf("buffer: invalid per-consumer capacity %d", b0))
 	}
 	if minPer < 1 {
 		minPer = 1
 	}
-	if minPer > b0PerConsumer {
-		minPer = b0PerConsumer
+	if minPer > b0 {
+		minPer = b0
 	}
-	p := &Pool{
-		global: b0PerConsumer * consumers,
+	return &Pool{
 		minPer: minPer,
-		quotas: make(map[int]int, consumers),
+		b0:     b0,
+		quotas: make(map[int]int),
 	}
-	for id := 0; id < consumers; id++ {
-		p.quotas[id] = b0PerConsumer
-		p.claimed += b0PerConsumer
+}
+
+// Add registers a new consumer with the initial quota B0, growing the
+// global capacity accordingly.
+func (p *Pool) Add(id int) error {
+	if _, ok := p.quotas[id]; ok {
+		return fmt.Errorf("buffer: consumer %d already registered", id)
 	}
-	return p
+	p.global += p.b0
+	p.quotas[id] = p.b0
+	p.claimed += p.b0
+	return nil
+}
+
+// Remove releases a consumer, shrinking the global capacity by exactly
+// the quota it held. Capacity the consumer had lent to others remains
+// in the pool (Σ quotas ≤ Bg stays intact).
+func (p *Pool) Remove(id int) error {
+	q, ok := p.quotas[id]
+	if !ok {
+		return fmt.Errorf("buffer: unknown consumer %d", id)
+	}
+	delete(p.quotas, id)
+	p.claimed -= q
+	p.global -= q
+	return nil
 }
 
 // Global returns Bg.
@@ -67,8 +90,9 @@ func (p *Pool) Global() int { return p.global }
 // Available returns the unclaimed capacity Bg − ΣBq.
 func (p *Pool) Available() int { return p.global - p.claimed }
 
-// Quota returns consumer id's current capacity. Unknown ids panic: the
-// consumer set is fixed at construction, as in the paper.
+// Quota returns consumer id's current capacity. Unknown ids panic:
+// asking for a consumer that was never added (or already removed) is a
+// caller bug.
 func (p *Pool) Quota(id int) int {
 	q, ok := p.quotas[id]
 	if !ok {

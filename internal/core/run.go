@@ -36,7 +36,12 @@ func Run(cfg Config) (metrics.Report, error) {
 	}
 
 	pairs := len(base.Traces)
-	pool := buffer.NewPool(base.Buffer, pairs, cfg.MinQuota)
+	pool := buffer.NewPool(base.Buffer, cfg.MinQuota)
+	for id := 0; id < pairs; id++ {
+		if err := pool.Add(id); err != nil {
+			return metrics.Report{}, err
+		}
+	}
 
 	model := base.Model
 	planner := cfg.Planner(base)

@@ -14,14 +14,14 @@
 //     analogue of the paper's Fig. 6 timeline view. Appends are
 //     lock-free; the documented loss bound is the ring capacity: only
 //     the most recent Cap() records survive.
-//   - StampRing carries per-item enqueue timestamps from the producer
-//     to the draining manager (single producer, drains serialized by
-//     the pair's drain lock), so enqueue→handler latencies can be
-//     recorded per item without touching the item type.
 //   - Clock is a coarse ticker-updated clock: producers read one atomic
 //     instead of calling the precise clock on every Put, trading ≤ one
 //     tick of timestamp error (far below the slot size) for a
 //     near-free hot path.
+//
+// The per-item enqueue stamps the histograms record travel from a
+// pair's producer to its drain in a ring.SPSC that the root package
+// owns; this package only stamps (Clock) and records (Histogram).
 //
 // The paper's argument rests on measuring wakeups and the latency cost
 // of batching (§III-C); these primitives make that measurement possible

@@ -23,11 +23,10 @@ func TestSPSCOpsAllocFree(t *testing.T) {
 }
 
 func TestUnboundedOpsAllocFree(t *testing.T) {
-	pool := NewSegmentPool[int](8, 64)
-	q := NewUnbounded[int](pool, 4*64)
+	q := NewUnbounded[int](8, 64, 4*64)
 	buf := make([]int, 96)
 	// Warm up: touch every segment the quota allows so the recycle ring
-	// is primed and no further pool traffic is needed.
+	// is primed and no further arena segment is needed.
 	for round := 0; round < 8; round++ {
 		for q.PushBatch(buf) > 0 {
 		}

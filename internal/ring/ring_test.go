@@ -172,25 +172,47 @@ func TestPropertySPSCMatchesModel(t *testing.T) {
 	}
 }
 
-func TestSegmentPoolGeometry(t *testing.T) {
-	p := NewSegmentPool[int](4, 8)
-	if p.Total() != 4 || p.SegSize() != 8 || p.FreeSegments() != 4 {
-		t.Fatalf("pool: %d/%d/%d", p.Total(), p.SegSize(), p.FreeSegments())
+func TestUnboundedGeometry(t *testing.T) {
+	q := NewUnbounded[int](4, 8, 0)
+	if q.Capacity() != 32 || len(q.arena) != 4 || len(q.arena[0].slots) != 8 {
+		t.Fatalf("arena: capacity %d, %d segments of %d", q.Capacity(), len(q.arena), len(q.arena[0].slots))
+	}
+	// One segment is linked at construction; the rest are untouched
+	// and the recycle ring can take back every segment.
+	if q.fresh != 1 || q.recycle.Len() != 0 || q.recycle.Cap() < len(q.arena) {
+		t.Fatalf("fresh %d, recycled %d, recycle cap %d", q.fresh, q.recycle.Len(), q.recycle.Cap())
 	}
 }
 
-func TestSegmentPoolInvalid(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+func TestUnboundedInvalidGeometry(t *testing.T) {
+	for _, g := range [][2]int{{0, 8}, {4, 0}, {-1, 8}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("geometry %d×%d: expected panic", g[0], g[1])
+				}
+			}()
+			NewUnbounded[int](g[0], g[1], 0)
+		}()
+	}
+}
+
+// arenaConserved checks that every arena segment is in exactly one
+// place: linked into the queue, waiting in the recycle ring, or never
+// linked yet. Single goroutine only.
+func arenaConserved[T any](u *Unbounded[T]) bool {
+	linked := 1
+	for s := u.phead; s != u.ptail; s = s.next.Load() {
+		if s == nil || linked > len(u.arena) {
+			return false
 		}
-	}()
-	NewSegmentPool[int](0, 8)
+		linked++
+	}
+	return linked+u.recycle.Len()+len(u.arena)-u.fresh == len(u.arena)
 }
 
 func TestSegmentedFIFO(t *testing.T) {
-	p := NewSegmentPool[int](8, 4)
-	q := NewUnbounded(p, 20)
+	q := NewUnbounded[int](8, 4, 20)
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 20; i++ {
 			if !q.Push(i) {
@@ -215,8 +237,7 @@ func TestSegmentedFIFO(t *testing.T) {
 }
 
 func TestSegmentedQuota(t *testing.T) {
-	p := NewSegmentPool[int](4, 4)
-	q := NewUnbounded(p, 2)
+	q := NewUnbounded[int](4, 4, 2)
 	if q.Quota() != 2 {
 		t.Fatalf("Quota = %d", q.Quota())
 	}
@@ -244,8 +265,7 @@ func TestSegmentedQuota(t *testing.T) {
 }
 
 func TestSegmentedDrainTo(t *testing.T) {
-	p := NewSegmentPool[int](8, 4)
-	q := NewUnbounded(p, 10)
+	q := NewUnbounded[int](8, 4, 10)
 	for i := 0; i < 10; i++ {
 		q.Push(i)
 	}
@@ -261,37 +281,36 @@ func TestSegmentedDrainTo(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatal("drain should empty queue")
 	}
-	// Drained segments are reusable: the pool can again back everything
+	// Drained segments are reusable: the arena can again back everything
 	// but the partly written tail segment.
-	q.SetQuota(p.Capacity())
+	q.SetQuota(q.Capacity())
 	n := 0
 	for q.Push(n) {
 		n++
 	}
-	if n < p.Capacity()-p.SegSize() {
-		t.Fatalf("refilled %d after drain, want >= %d", n, p.Capacity()-p.SegSize())
+	if n < q.Capacity()-4 {
+		t.Fatalf("refilled %d after drain, want >= %d", n, q.Capacity()-4)
 	}
 }
 
 func TestSegmentedNegativeQuotaPanics(t *testing.T) {
-	p := NewSegmentPool[int](1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewUnbounded(p, -1)
+	NewUnbounded[int](1, 1, -1)
 }
 
 // Property: the segmented queue matches a quota-bounded FIFO model
 // under random quota raises and shrinks, and never leaks segments
-// across arbitrary op sequences.
+// across arbitrary op sequences: after every step each arena segment
+// is linked, recycled or never linked, exactly once.
 func TestPropertySegmentedMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 60; trial++ {
-		p := NewSegmentPool[int](6, 4)
 		quota := rng.Intn(30)
-		q := NewUnbounded(p, quota)
+		q := NewUnbounded[int](6, 4, quota)
 		var model []int
 		next := 0
 		for op := 0; op < 500; op++ {
@@ -303,11 +322,11 @@ func TestPropertySegmentedMatchesModel(t *testing.T) {
 					if len(model) > quota {
 						t.Fatalf("trial %d: quota exceeded", trial)
 					}
-				} else if len(model) < quota && p.FreeSegments() > 0 {
+				} else if free := q.recycle.Len() + len(q.arena) - q.fresh; len(model) < quota && free > 0 {
 					// Failure is only legitimate at quota or when a new
 					// segment was needed and none was left.
 					t.Fatalf("trial %d: spurious push failure (len=%d quota=%d free=%d)",
-						trial, q.Len(), quota, p.FreeSegments())
+						trial, q.Len(), quota, free)
 				}
 				next++
 			case 2:
@@ -328,16 +347,19 @@ func TestPropertySegmentedMatchesModel(t *testing.T) {
 			if q.Len() != len(model) {
 				t.Fatalf("trial %d: len mismatch %d vs %d", trial, q.Len(), len(model))
 			}
+			if !arenaConserved(q) {
+				t.Fatalf("trial %d op %d: arena segments not conserved", trial, op)
+			}
 		}
 		q.DrainTo(nil)
 		// Every segment but the tail one must be reachable again.
-		q.SetQuota(p.Capacity())
+		q.SetQuota(q.Capacity())
 		n := 0
 		for q.Push(n) {
 			n++
 		}
-		if n < p.Capacity()-p.SegSize() {
-			t.Fatalf("trial %d: leaked segments (refilled %d of %d)", trial, n, p.Capacity())
+		if n < q.Capacity()-4 {
+			t.Fatalf("trial %d: leaked segments (refilled %d of %d)", trial, n, q.Capacity())
 		}
 	}
 }
@@ -352,8 +374,7 @@ func BenchmarkSPSCPushPop(b *testing.B) {
 }
 
 func BenchmarkUnboundedPushPop(b *testing.B) {
-	p := NewSegmentPool[int](16, 64)
-	q := NewUnbounded(p, 1024)
+	q := NewUnbounded[int](16, 64, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q.Push(i)

@@ -4,14 +4,17 @@
 //   - SPSC: a lock-free single-producer/single-consumer bounded ring
 //     with cache-line-separated indices, cached remote-index snapshots
 //     and optional lazy index publication (Torquati's recipe,
-//     PAPERS.md) — the fast path between one producer and its consumer
-//     (the paper's pairing is strictly 1:1, §I).
-//   - Unbounded: a wait-free SPSC list-of-rings over a SegmentPool
-//     (Torquati's uSPSC) carrying the paper's elastic item quota — the
-//     "linked lists, not actual contiguous resizing" dynamic buffer
-//     (§V-C, Fig. 8) behind every live pair. A pair whose producer
-//     side is shared serializes its producers with its own lock; the
-//     queue stays single-producer.
+//     PAPERS.md). It is the one hand-written SPSC ring in the repo:
+//     it recycles Unbounded's drained segments, carries each live
+//     pair's enqueue timestamps to its drain, and backs the pinned
+//     ping-pong benchmarks.
+//   - Unbounded: a wait-free SPSC list-of-rings over its own
+//     preallocated segment arena (Torquati's uSPSC) carrying the
+//     paper's elastic item quota — the "linked lists, not actual
+//     contiguous resizing" dynamic buffer (§V-C, Fig. 8) behind every
+//     live pair. A pair whose producer side is shared serializes its
+//     producers with its own lock; the queue stays single-producer and
+//     the package takes no lock.
 //   - Queue: an unbounded slice-backed FIFO the simulator uses for
 //     arrival-time bookkeeping (virtual time is single-threaded).
 package ring

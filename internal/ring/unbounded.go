@@ -5,33 +5,44 @@ import (
 	"sync/atomic"
 )
 
+// seg is one arena segment: a fixed-size slot array plus the intrusive
+// link Unbounded chains segments with. Headers and slots are
+// preallocated together at construction, so linking a segment never
+// allocates — the queue hands back the same headers it was built with,
+// forever.
+type seg[T any] struct {
+	slots []T
+	next  atomic.Pointer[seg[T]]
+}
+
 // Unbounded is a wait-free single-producer/single-consumer FIFO built
-// as a linked list of fixed-size ring segments drawn from a
-// SegmentPool — Torquati's unbounded "list of SPSC buffers" (uSPSC,
-// PAPERS.md) fitted with the paper's elastic quota. "Unbounded" means
-// the queue itself imposes no structural capacity: admission is
-// governed purely by the item quota and by the pool backing the
-// growth.
+// as a linked list of fixed-size ring segments drawn from its own
+// preallocated arena — Torquati's unbounded "list of SPSC buffers"
+// (uSPSC, PAPERS.md) fitted with the paper's elastic quota. "Unbounded"
+// means the queue imposes no structural capacity below its arena:
+// admission is governed by the item quota, and the arena (Capacity)
+// is only the physical ceiling on lent growth.
 //
 // Exactly one goroutine may push (Push/PushBatch) and one may pop
 // (Pop/PopBatch/DrainTo) at a time; Len, Quota and SetQuota are safe
 // from any goroutine. The two sides share only three cache lines:
 //
 //   - the producer line: the published item count (pushed) plus the
-//     producer's private cursor into its tail segment and its cached
-//     snapshot of the consumer's count. A steady-state Push writes no
-//     consumer-owned line; the consumer count is re-read only when the
-//     quota check would otherwise fail.
+//     producer's private cursor into its tail segment, its cached
+//     snapshot of the consumer's count and the arena bump index. A
+//     steady-state Push writes no consumer-owned line; the consumer
+//     count is re-read only when the quota check would otherwise fail.
 //   - the consumer line: the published consumed count (popped), the
 //     consumer's segment cursor and its cached snapshot of pushed.
-//   - a cold line of read-mostly fields (quota, pool, recycle ring).
+//   - a cold line of read-mostly fields (quota, arena, recycle ring).
 //
-// Segment hand-off is wait-free in steady state: drained segments are
-// recycled to the producer through a small SPSC ring instead of the
-// pool's mutex, so neither side takes a lock once the queue has warmed
-// up. The producer links a new segment before publishing the items in
-// it, so a consumer that observes pushed > popped always finds the
-// items' segments reachable.
+// Segment hand-off is wait-free and lock-free: drained segments go
+// back to the producer through an SPSC recycle ring sized to hold the
+// whole arena, and the producer takes a never-linked arena segment
+// only when that ring is empty. The arena is therefore touched
+// lazily, in the order the queue first needs it. The producer links a
+// new segment before publishing the items in it, so a consumer that
+// observes pushed > popped always finds the items' segments reachable.
 type Unbounded[T any] struct {
 	_ [64]byte
 
@@ -39,41 +50,52 @@ type Unbounded[T any] struct {
 	pushed       atomic.Uint64 // published item count (consumer-read)
 	ppushed      uint64        // private item count (may run ahead inside PushBatch)
 	cachedPopped uint64        // producer's snapshot of popped
-	ptail        *Seg[T]       // segment being written
+	ptail        *seg[T]       // segment being written
 	pw           int           // write index into ptail
-	_            [24]byte
+	fresh        int           // next never-linked arena segment
+	_            [16]byte
 
 	// Consumer-owned line.
 	popped       atomic.Uint64 // published consumed count (producer-read)
 	cpopped      uint64        // private consumed count
 	cachedPushed uint64        // consumer's snapshot of pushed
-	phead        *Seg[T]       // segment being read
+	phead        *seg[T]       // segment being read
 	pr           int           // read index into phead
 	_            [24]byte
 
 	// Cold, read-mostly.
 	quota   atomic.Int64
-	pool    *SegmentPool[T]
-	recycle *SPSC[*Seg[T]] // consumer → producer drained-segment hand-back
+	arena   []seg[T]
+	recycle *SPSC[*seg[T]] // consumer → producer drained-segment hand-back
 }
 
-// NewUnbounded returns a queue with the given item quota drawing its
-// segments from pool. One segment is claimed immediately (the queue
-// needs a tail to write into); it panics if the pool cannot supply it.
-func NewUnbounded[T any](pool *SegmentPool[T], quota int) *Unbounded[T] {
+// NewUnbounded returns a queue with the given item quota over an arena
+// of segments×segSize item slots. One backing array and one header
+// array serve every segment for the queue's whole life; the first
+// segment is linked immediately (the queue needs a tail to write
+// into). It panics on a non-positive geometry or a negative quota.
+func NewUnbounded[T any](segments, segSize, quota int) *Unbounded[T] {
+	if segments <= 0 || segSize <= 0 {
+		panic(fmt.Sprintf("ring: invalid arena geometry %d×%d", segments, segSize))
+	}
 	if quota < 0 {
 		panic(fmt.Sprintf("ring: negative quota %d", quota))
 	}
-	seg, ok := pool.acquire()
-	if !ok {
-		panic("ring: pool exhausted at Unbounded construction")
+	backing := make([]T, segments*segSize)
+	arena := make([]seg[T], segments)
+	for i := range arena {
+		arena[i].slots = backing[i*segSize : (i+1)*segSize : (i+1)*segSize]
 	}
-	u := &Unbounded[T]{pool: pool, recycle: NewSPSC[*Seg[T]](pool.Total() + 1)}
+	u := &Unbounded[T]{arena: arena, recycle: NewSPSC[*seg[T]](segments), fresh: 1}
 	u.quota.Store(int64(quota))
-	u.ptail = seg
-	u.phead = seg
+	u.ptail = &arena[0]
+	u.phead = &arena[0]
 	return u
 }
+
+// Capacity returns the item slots the arena can back: the physical
+// ceiling on the queue's length, whatever its quota.
+func (u *Unbounded[T]) Capacity() int { return len(u.arena) * len(u.arena[0].slots) }
 
 // Len returns the number of buffered items (published pushes minus
 // published pops). Safe from any goroutine; with concurrent push/pop
@@ -119,26 +141,29 @@ func (u *Unbounded[T]) headroom(want int) int {
 	return want
 }
 
-// grow links a fresh segment after ptail, preferring the wait-free
-// recycle ring over the pool mutex. The link is published before any
-// item in the new segment is, so the consumer can always walk to what
-// it has been promised.
+// grow links another segment after ptail: a recycled one if the
+// consumer has handed any back, else the next never-linked arena
+// segment. It fails only when every segment is linked. The link is
+// published before any item in the new segment is, so the consumer
+// can always walk to what it has been promised.
 func (u *Unbounded[T]) grow() bool {
-	seg, ok := u.recycle.Pop()
+	s, ok := u.recycle.Pop()
 	if !ok {
-		if seg, ok = u.pool.acquire(); !ok {
+		if u.fresh == len(u.arena) {
 			return false
 		}
+		s = &u.arena[u.fresh]
+		u.fresh++
 	}
-	seg.next.Store(nil)
-	u.ptail.next.Store(seg)
-	u.ptail = seg
+	s.next.Store(nil)
+	u.ptail.next.Store(s)
+	u.ptail = s
 	u.pw = 0
 	return true
 }
 
-// Push appends v, returning false when the quota is reached or no
-// segment can back the growth. Producer goroutine only.
+// Push appends v, returning false when the quota is reached or the
+// arena cannot back the growth. Producer goroutine only.
 func (u *Unbounded[T]) Push(v T) bool {
 	if u.headroom(1) == 0 {
 		return false
@@ -154,7 +179,7 @@ func (u *Unbounded[T]) Push(v T) bool {
 }
 
 // PushBatch appends items in order, returning how many were accepted
-// (quota- or pool-limited). The whole batch costs one quota
+// (quota- or arena-limited). The whole batch costs one quota
 // negotiation and one index publication — the write-combining bulk
 // path. Producer goroutine only.
 func (u *Unbounded[T]) PushBatch(items []T) int {
@@ -179,16 +204,16 @@ func (u *Unbounded[T]) PushBatch(items []T) int {
 }
 
 // advanceHead steps the consumer to the next segment, handing the
-// drained one back to the producer via the recycle ring (pool fallback
-// keeps the arena's books when the ring is full, which only happens
-// transiently around construction). Only called when more published
-// items exist, so next is always linked.
+// drained one back to the producer via the recycle ring. The ring
+// holds the whole arena, so the hand-back cannot fail while every
+// segment is accounted for once. Only called when more published items
+// exist, so next is always linked.
 func (u *Unbounded[T]) advanceHead() {
 	old := u.phead
 	u.phead = old.next.Load()
 	u.pr = 0
 	if !u.recycle.Push(old) {
-		u.pool.release(old)
+		panic("ring: recycle ring overflow: more segments handed back than the arena holds")
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 func TestUnboundedFIFOWrapAround(t *testing.T) {
-	pool := NewSegmentPool[int](4, 4)
-	u := NewUnbounded(pool, 8)
+	u := NewUnbounded[int](4, 4, 8)
 	// Cycle items through repeatedly so segments are recycled many
 	// times over (wrap-around through the recycle ring).
 	next, want := 0, 0
@@ -34,8 +33,7 @@ func TestUnboundedFIFOWrapAround(t *testing.T) {
 }
 
 func TestUnboundedBatchExactlyFillsSegment(t *testing.T) {
-	pool := NewSegmentPool[int](4, 8)
-	u := NewUnbounded(pool, 32)
+	u := NewUnbounded[int](4, 8, 32)
 	batch := make([]int, 8) // exactly one segment
 	for i := range batch {
 		batch[i] = i
@@ -59,8 +57,7 @@ func TestUnboundedBatchExactlyFillsSegment(t *testing.T) {
 }
 
 func TestUnboundedBatchSpansSegments(t *testing.T) {
-	pool := NewSegmentPool[int](8, 4)
-	u := NewUnbounded(pool, 32)
+	u := NewUnbounded[int](8, 4, 32)
 	batch := make([]int, 14) // spans ≥3 segments of 4
 	for i := range batch {
 		batch[i] = 100 + i
@@ -80,8 +77,7 @@ func TestUnboundedBatchSpansSegments(t *testing.T) {
 }
 
 func TestUnboundedQuotaLimitsBatch(t *testing.T) {
-	pool := NewSegmentPool[int](4, 4)
-	u := NewUnbounded(pool, 5)
+	u := NewUnbounded[int](4, 4, 5)
 	batch := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	if n := u.PushBatch(batch); n != 5 {
 		t.Fatalf("PushBatch = %d, want quota-limited 5", n)
@@ -96,8 +92,7 @@ func TestUnboundedQuotaLimitsBatch(t *testing.T) {
 }
 
 func TestUnboundedShrinkWhilePush(t *testing.T) {
-	pool := NewSegmentPool[int](4, 4)
-	u := NewUnbounded(pool, 12)
+	u := NewUnbounded[int](4, 4, 12)
 	for i := 0; i < 8; i++ {
 		if !u.Push(i) {
 			t.Fatalf("push %d failed", i)
@@ -132,15 +127,14 @@ func TestUnboundedShrinkWhilePush(t *testing.T) {
 }
 
 func TestUnboundedPoolExhaustion(t *testing.T) {
-	pool := NewSegmentPool[int](2, 2)
-	// Quota far above what the pool can physically back.
-	u := NewUnbounded(pool, 100)
+	// Quota far above what the arena can physically back.
+	u := NewUnbounded[int](2, 2, 100)
 	n := 0
 	for u.Push(n) {
 		n++
 	}
 	if n != 4 {
-		t.Fatalf("accepted %d items, want pool-limited 4", n)
+		t.Fatalf("accepted %d items, want arena-limited 4", n)
 	}
 	got := u.DrainTo(nil)
 	if len(got) != 4 {
@@ -156,8 +150,7 @@ func TestUnboundedPoolExhaustion(t *testing.T) {
 // producer/consumer goroutine pair and verifies order + conservation
 // (the claims the single-producer fast path rests on).
 func TestUnboundedConcurrentFIFO(t *testing.T) {
-	pool := NewSegmentPool[int](8, 16)
-	u := NewUnbounded(pool, 64)
+	u := NewUnbounded[int](8, 16, 64)
 	const total = 50000
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -196,8 +189,7 @@ func TestUnboundedConcurrentFIFO(t *testing.T) {
 // mixed push/pushbatch/pop/drain operations.
 func TestPropertySegmentedSPMatchesModel(t *testing.T) {
 	f := func(ops []uint8, vals []int) bool {
-		pool := NewSegmentPool[int](6, 4)
-		q := NewUnbounded(pool, 10)
+		q := NewUnbounded[int](6, 4, 10)
 		model := &Queue[int]{}
 		vi := 0
 		nextVal := func() int {
@@ -215,7 +207,7 @@ func TestPropertySegmentedSPMatchesModel(t *testing.T) {
 				if q.Push(v) {
 					model.Push(v)
 				} else if model.Len() < q.Quota() {
-					// Full only at quota (pool is ample here).
+					// Full only at quota (the arena is ample here).
 					return false
 				}
 			case 1:
@@ -245,7 +237,7 @@ func TestPropertySegmentedSPMatchesModel(t *testing.T) {
 					return false
 				}
 			}
-			if q.Len() != model.Len() {
+			if q.Len() != model.Len() || !arenaConserved(q) {
 				return false
 			}
 		}

@@ -2,9 +2,11 @@ package repro
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/ring"
 )
 
 // LatencySampleEvery is the deterministic sampling stride of the
@@ -42,14 +44,29 @@ type obsState struct {
 
 // pairObs is a pair's latency instrumentation: the stamp ring carrying
 // enqueue times from the producer, and the two per-pair histograms.
+// The ring is single-producer like the pair's queue; its consumer side
+// is serialized by the pair's drain lock. When it is full the stamp is
+// dropped and counted — the item still flows, its latency just goes
+// unobserved. Stamps pair with items by count, not identity, so a drop
+// only shifts which timestamp meets which item; for a histogram that
+// is harmless.
 type pairObs struct {
-	stamps *obs.StampRing
+	stamps *ring.SPSC[int64]
+	drops  atomic.Uint64  // stamps discarded on a full ring
 	wait   *obs.Histogram // enqueue → handler-start
 	done   *obs.Histogram // enqueue → handler-done
 	// enqueued counts accepted items for the 1-in-LatencySampleEvery
 	// stamp stride. Producer-owned: one producer at a time, as for the
 	// queue itself.
 	enqueued uint64
+}
+
+// stamp records one sampled item's enqueue time, counting the drop
+// when the ring is full. Producer side only.
+func (po *pairObs) stamp(now int64) {
+	if !po.stamps.Push(now) {
+		po.drops.Add(1)
+	}
 }
 
 func newObsState(o options, start time.Time) *obsState {
@@ -88,7 +105,7 @@ func newPairObs(buffer int) *pairObs {
 		capacity = 1 << 16
 	}
 	return &pairObs{
-		stamps: obs.NewStampRing(capacity),
+		stamps: ring.NewSPSC[int64](capacity),
 		wait:   obs.NewHistogram(),
 		done:   obs.NewHistogram(),
 	}
@@ -181,7 +198,7 @@ func (rt *Runtime) PairLatencies() []PairLatencies {
 			ID:         st.id,
 			Wait:       distOf(st.obs.wait),
 			Done:       distOf(st.obs.done),
-			StampDrops: st.obs.stamps.Drops(),
+			StampDrops: st.obs.drops.Load(),
 		}
 	}
 	return out

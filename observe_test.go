@@ -108,6 +108,54 @@ func TestLatencyHistograms(t *testing.T) {
 	}
 }
 
+// TestStampDropsWhenRingFull: a pair filled past its stamp ring's
+// capacity with no drain in between keeps the oldest stamps, counts
+// every further sampled stamp as a drop, and still accepts every item.
+func TestStampDropsWhenRingFull(t *testing.T) {
+	// The stamp ring is clamped at 1<<16 stamps, so a B0 of 1<<20 items
+	// samples twice as many stamps as it can carry. Zero-size items keep
+	// the arena free; hour-long slots and pinned quotas keep the manager
+	// from draining mid-fill.
+	const items = 1 << 20
+	rt, err := New(
+		WithSlotSize(time.Hour),
+		WithMaxLatency(time.Hour),
+		WithBuffer(items),
+		WithoutResizing(),
+		WithHistograms(),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	pair, err := Open(rt, Batch(func([]struct{}) {}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ringCap := pair.st.obs.stamps.Cap()
+	offered := items / LatencySampleEvery
+	if offered <= ringCap {
+		t.Fatalf("premise: %d stamps offered fit the %d-stamp ring", offered, ringCap)
+	}
+	batch := make([]struct{}, 4096)
+	for put := 0; put < items; put += len(batch) {
+		if n, err := pair.PutBatch(batch); err != nil || n != len(batch) {
+			t.Fatalf("PutBatch at %d = (%d, %v)", put, n, err)
+		}
+	}
+	pl := rt.PairLatencies()
+	if len(pl) != 1 {
+		t.Fatalf("PairLatencies = %d pairs, want 1", len(pl))
+	}
+	if pl[0].Wait.Count != 0 {
+		t.Fatalf("a drain ran mid-fill (%d wait samples)", pl[0].Wait.Count)
+	}
+	if want := uint64(offered - ringCap); pl[0].StampDrops != want {
+		t.Fatalf("StampDrops = %d, want %d offered - %d ring capacity = %d",
+			pl[0].StampDrops, offered, ringCap, want)
+	}
+}
+
 // TestObservabilityDisabledByDefault: without the options, the obs
 // surface is inert and costs the hot path nothing but nil checks.
 func TestObservabilityDisabledByDefault(t *testing.T) {

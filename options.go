@@ -27,6 +27,10 @@ var (
 	ErrQuarantined = errors.New("repro: pair quarantined")
 )
 
+// segSize is the item count of one segment of a pair's queue arena
+// (see WithMaxPairs for the arena's size).
+const segSize = 16
+
 // options collects runtime configuration.
 type options struct {
 	managers   int
@@ -36,7 +40,6 @@ type options struct {
 	minQuota   int
 	headroom   float64
 	maxPairs   int
-	segSize    int
 	predictor  predict.Factory
 	observer   func(Event)
 
@@ -70,7 +73,6 @@ func defaultOptions() options {
 		minQuota:      2,
 		headroom:      0.7,
 		maxPairs:      64,
-		segSize:       16,
 		predictor:     predict.DefaultFactory,
 		omegaMicro:    38.5,
 		perItemMicro:  1.7,
@@ -102,9 +104,6 @@ func (o options) validate() error {
 	}
 	if o.maxPairs < 1 {
 		return fmt.Errorf("repro: max pairs %d < 1", o.maxPairs)
-	}
-	if o.segSize < 1 {
-		return fmt.Errorf("repro: segment size %d < 1", o.segSize)
 	}
 	if o.predictor == nil {
 		return fmt.Errorf("repro: nil predictor factory")

@@ -134,8 +134,8 @@ func (p *Pair[T]) recordWait(n int) []int64 {
 	if po == nil || n == 0 {
 		return nil
 	}
-	s := po.stamps.PopBatch(p.stampScratch[:0], n)
-	p.stampScratch = s
+	dst := p.stampScratch[:min(n, cap(p.stampScratch))]
+	s := dst[:po.stamps.PopBatch(dst)]
 	po.wait.RecordSince(p.rt.obs.clock.Precise(), s)
 	return s
 }
@@ -254,7 +254,7 @@ func (p *Pair[T]) Put(v T) error {
 	if po := p.st.obs; ok && po != nil {
 		po.enqueued++
 		if po.enqueued&stampSampleMask == 0 {
-			po.stamps.Push(p.rt.obs.clock.Now())
+			po.stamp(p.rt.obs.clock.Now())
 		}
 	}
 	p.unlockProducers()
@@ -293,7 +293,7 @@ func (p *Pair[T]) PutBatch(items []T) (int, error) {
 		if k > 0 {
 			now := p.rt.obs.clock.Now()
 			for i := 0; i < k; i++ {
-				po.stamps.Push(now)
+				po.stamp(now)
 			}
 		}
 	}

@@ -233,8 +233,7 @@ func TestConcurrentProducersPerProducerFIFO(t *testing.T) {
 // PutBatch: in-order acceptance across a segment boundary, stopping
 // exactly at the quota.
 func TestUnboundedPushBatch(t *testing.T) {
-	pool := ring.NewSegmentPool[int](2, 4)
-	q := ring.NewUnbounded(pool, 6)
+	q := ring.NewUnbounded[int](2, 4, 6)
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	if n := q.PushBatch(items); n != 6 {
 		t.Fatalf("accepted %d, want quota 6", n)

@@ -114,7 +114,7 @@ func New(opts ...Option) (*Runtime, error) {
 		opts:  o,
 		start: time.Now(),
 		pairs: make(map[int]*pairState),
-		pool:  buffer.NewEmptyPool(o.buffer, o.minQuota),
+		pool:  buffer.NewPool(o.buffer, o.minQuota),
 		planner: &core.Planner{
 			Track:             track.New(simtime.Duration(o.slotSize), 0),
 			B0:                o.buffer,

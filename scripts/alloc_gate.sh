@@ -3,7 +3,9 @@
 #
 # Runs the live producer-path benchmarks with -benchmem and fails if
 # any of them reports a nonzero allocs/op: steady-state Put and
-# PutBatch must not allocate. The companion unit tests
+# PutBatch must not allocate, with observability off or on
+# (BenchmarkPutObserved adds histograms, latency stamps and the
+# timeline). The companion unit tests
 # (TestPutSteadyStateAllocFree, TestSPSCOpsAllocFree) catch the same
 # regressions under plain `go test`; this gate checks the exact
 # numbers `make bench` publishes.
@@ -13,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${1:-0.5s}"
-benches='^(BenchmarkLivePut|BenchmarkLivePutBatch|BenchmarkPut)$'
+benches='^(BenchmarkLivePut|BenchmarkLivePutBatch|BenchmarkPut|BenchmarkPutObserved)$'
 
 out="$(go test -run '^$' -bench "$benches" -benchtime "$benchtime" -benchmem . | tee /dev/stderr)"
 
